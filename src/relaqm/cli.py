@@ -47,7 +47,7 @@ from .questions import (
     random_question,
     same_question,
 )
-from .scenario import emit_report, load_scenario, resolve_family, run
+from .scenario import emit_report, load_scenario, parse_families, resolve_family, run
 
 __all__ = ["main"]
 
@@ -91,10 +91,7 @@ def _cmd_run(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit_report(report, format="structured"))
-    worst = 0.0
-    for entry in report.entries:
-        for ent in entry.get("entangled", []):
-            worst = max(worst, ent["marginal_agreement"])
+    worst = report.worst_marginal_agreement()
     if report.violations:
         sys.stderr.write("report linter found untagged states\n")
         return EXIT_NUMERIC
@@ -115,12 +112,14 @@ def _cmd_kernel(args) -> int:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ParseError("kernel file needs a 'dim' field")
     dim = doc["dim"]
-    declared = {}
-    for name, raw in (doc.get("families") or {}).items():
-        basis = np.array([[complex(*x) if isinstance(x, list) else complex(x)
-                           for x in row] for row in raw])
-        declared[name] = basis
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"kernel file: dim must be a positive integer, got {dim!r}")
+    declared = parse_families(doc.get("families"))
     pairs = doc.get("pairs") or [["computational", "fourier"]]
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(name, str) for name in pair) for pair in pairs):
+        raise ParseError("kernel file: pairs must be a list of [family, family] names")
     out_lines = []
     worst = 0.0
     for a_name, b_name in pairs:

@@ -31,6 +31,7 @@ __all__ = [
     "RANK_TOL",
     "StateVector",
     "Operator",
+    "orthonormality_defect",
     "tensor",
     "apply",
     "born_probabilities",
@@ -74,6 +75,12 @@ def _as_complex_matrix(values) -> np.ndarray:
         raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def orthonormality_defect(columns: np.ndarray) -> float:
+    """Largest entry of ``|B†B - I|`` for the columns of B; 0 when B has none."""
+    gram = columns.conj().T @ columns
+    return float(np.max(np.abs(gram - np.eye(columns.shape[1])), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +157,7 @@ class Operator:
 
     @cached_property
     def is_unitary(self) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) < ATOL)
+        return bool(orthonormality_defect(self.matrix) < ATOL)
 
     @cached_property
     def is_projector(self) -> bool:

@@ -29,7 +29,7 @@ from .errors import (
     MissingUnitary,
     NotDoublyStochastic,
 )
-from .hilbert import ATOL, OPT_ATOL
+from .hilbert import ATOL, OPT_ATOL, orthonormality_defect
 from .questions import CompleteFamily
 
 __all__ = [
@@ -72,7 +72,7 @@ class TransitionKernel:
         object.__setattr__(self, "p", p)
         if self.U is not None:
             u = np.array(self.U, dtype=complex)
-            if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > ATOL:
+            if orthonormality_defect(u) > ATOL:
                 raise ValueError("kernel unitary is not unitary")
             if np.max(np.abs(np.abs(u) ** 2 - p)) > ATOL:
                 raise ValueError("kernel unitary does not reproduce p = |U|^2")

@@ -25,6 +25,8 @@ from .hilbert import (
     ATOL,
     Operator,
     StateVector,
+    basis_state,
+    orthonormality_defect,
     sample_index,
 )
 from .questions import CompleteFamily
@@ -66,11 +68,10 @@ class MeasurementSetup:
         if pointer_dim < self.system_basis.dim:
             raise ValueError(
                 f"pointer dim {pointer_dim} smaller than system dim {self.system_basis.dim}")
-        mark_matrix = np.column_stack([m.amplitudes for m in marks])
+        mark_matrix = self.mark_matrix()
         if mark_matrix.shape[0] != pointer_dim:
             raise DimensionMismatch("pointer marks and ready state have different dims")
-        gram = mark_matrix.conj().T @ mark_matrix
-        if np.max(np.abs(gram - np.eye(len(marks)))) > ATOL:
+        if orthonormality_defect(mark_matrix) > ATOL:
             raise ValueError("pointer marks are not pairwise orthonormal")
 
     @property
@@ -102,14 +103,8 @@ def standard_setup(system_dim: int, pointer_dim: int | None = None,
         raise ValueError(
             f"pointer dim {pointer_dim} smaller than system dim {system_dim}")
     basis = system_basis or CompleteFamily.computational(system_dim)
-    ready = np.zeros(pointer_dim, dtype=complex)
-    ready[0] = 1.0
-    marks = []
-    for i in range(system_dim):
-        m = np.zeros(pointer_dim, dtype=complex)
-        m[i] = 1.0
-        marks.append(StateVector(m, (pointer_dim,), tag))
-    return MeasurementSetup(basis, StateVector(ready, (pointer_dim,), tag), tuple(marks))
+    marks = tuple(basis_state(pointer_dim, i, tag) for i in range(system_dim))
+    return MeasurementSetup(basis, basis_state(pointer_dim, 0, tag), marks)
 
 
 def _system_amplitudes(setup: MeasurementSetup, psi: StateVector) -> np.ndarray:

@@ -24,7 +24,8 @@ from .errors import (
     TooLarge,
     ZeroBranch,
 )
-from .hilbert import ATOL, RANK_TOL, StateVector, haar_unitary, sample_index
+from .hilbert import (ATOL, RANK_TOL, StateVector, haar_unitary, orthonormality_defect,
+                      sample_index)
 
 __all__ = [
     "Question",
@@ -68,8 +69,7 @@ class Question:
         b = np.asarray(self.basis, dtype=complex)
         if b.ndim != 2:
             raise ValueError(f"basis must be a (dim, rank) matrix, got shape {b.shape}")
-        gram = b.conj().T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ATOL:
+        if orthonormality_defect(b) > ATOL:
             raise ValueError("basis columns are not orthonormal")
         b = b.copy()
         b.setflags(write=False)
@@ -200,8 +200,7 @@ class CompleteFamily:
         b = np.array(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"family basis must be square, got shape {b.shape}")
-        gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[0]))) > ATOL:
+        if orthonormality_defect(b) > ATOL:
             raise ValueError(f"family {self.label!r}: basis is not unitary")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -293,6 +292,16 @@ def _yes_probability(amps: np.ndarray, q: Question) -> float:
     return min(float(np.linalg.norm(q.basis.conj().T @ amps) ** 2), 1.0)
 
 
+def _branch(amps: np.ndarray, q: Question, bit: int, zero_message: str) -> np.ndarray:
+    """Normalized projection of ``amps`` onto the answer ``bit`` to ``q``."""
+    inside = q.basis @ (q.basis.conj().T @ amps)
+    branch = inside if bit else amps - inside
+    weight = np.linalg.norm(branch)
+    if weight <= 1e-12:
+        raise ZeroBranch(zero_message)
+    return branch / weight
+
+
 def ask_sequence(state: StateVector, questions, seed: int,
                  family: CompleteFamily | None = None):
     """Ask a sequence of questions, projecting after each answer.
@@ -310,14 +319,7 @@ def ask_sequence(state: StateVector, questions, seed: int,
                 f"question dim {q.ambient_dim} vs state dim {state.dim}")
         p_yes = _yes_probability(amps, q)
         bit = 1 if sample_index(np.array([1.0 - p_yes, p_yes]), rng) else 0
-        if bit:
-            branch = q.basis @ (q.basis.conj().T @ amps)
-        else:
-            branch = amps - q.basis @ (q.basis.conj().T @ amps)
-        weight = np.linalg.norm(branch)
-        if weight <= 1e-12:
-            raise ZeroBranch("sampled a branch of zero weight")
-        amps = branch / weight
+        amps = _branch(amps, q, bit, "sampled a branch of zero weight")
         bits.append(bit)
     answer = AnswerString(tuple(bits), family)
     return answer, StateVector(amps, state.dim_factors, state.relative_to)
@@ -335,14 +337,7 @@ def redundant_flags(state: StateVector, questions, bits) -> list[bool]:
     for q, bit in zip(questions, bits):
         p_yes = _yes_probability(amps, q)
         flags.append(p_yes < ATOL or p_yes > 1.0 - ATOL)
-        if bit:
-            branch = q.basis @ (q.basis.conj().T @ amps)
-        else:
-            branch = amps - q.basis @ (q.basis.conj().T @ amps)
-        weight = np.linalg.norm(branch)
-        if weight <= 1e-12:
-            raise ZeroBranch(f"given answers contradict the state (bit={bit})")
-        amps = branch / weight
+        amps = _branch(amps, q, bit, f"given answers contradict the state (bit={bit})")
     return flags
 
 

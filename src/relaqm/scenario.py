@@ -26,7 +26,8 @@ significant digits) suitable for golden-file comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -38,14 +39,16 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .hilbert import ATOL, PAULI_X, PAULI_Y, PAULI_Z, StateVector
+from .dynamics import propagator
+from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
+                      orthonormality_defect, sample_index)
 from .kernels import (
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
     verify_double_stochastic,
 )
-from .measurement import MeasurementSetup, correlation_operator, premeasurement_unitary
+from .measurement import correlation_operator, premeasurement_unitary, standard_setup
 from .questions import CompleteFamily
 
 __all__ = [
@@ -61,6 +64,7 @@ __all__ = [
     "emit_report",
     "lint_report",
     "fixture_path",
+    "parse_families",
     "resolve_family",
 ]
 
@@ -87,7 +91,7 @@ class MeasureEvent:
 @dataclass(frozen=True)
 class EvolveEvent:
     target: str
-    hamiltonian: np.ndarray
+    hamiltonian: Operator
     t: float
     label: str
 
@@ -122,6 +126,11 @@ class Report:
     entries: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
+    def worst_marginal_agreement(self) -> float:
+        """Largest measurer-vs-observer marginal gap over all measure events, or 0."""
+        return max([0.0] + [ent["marginal_agreement"] for entry in self.entries
+                            for ent in entry.get("entangled", [])])
+
 
 def fixture_path(name: str):
     """Filesystem path of a shipped fixture (scenario or matrix file)."""
@@ -132,13 +141,18 @@ def fixture_path(name: str):
 # parsing
 
 
+def _real_value(raw, where: str, expected: str = "a number or an [re, im] pair") -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ParseError(f"{where}: expected {expected}, got {raw!r}")
+    if not abs(raw) <= sys.float_info.max:  # NaN, ±inf, or an integer past the float range
+        raise ParseError(f"{where}: {raw!r} is not a finite number")
+    return float(raw)
+
+
 def _complex_value(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)):
-        return complex(raw[0], raw[1])
-    raise ParseError(f"{where}: expected a number or an [re, im] pair, got {raw!r}")
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        return complex(_real_value(raw[0], where), _real_value(raw[1], where))
+    return complex(_real_value(raw, where))
 
 
 def _complex_vector(raw, where: str) -> np.ndarray:
@@ -147,12 +161,15 @@ def _complex_vector(raw, where: str) -> np.ndarray:
     return np.array([_complex_value(x, where) for x in raw], dtype=complex)
 
 
-def _complex_matrix(raw, where: str) -> np.ndarray:
+def _square_matrix(raw, where: str) -> np.ndarray:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     rows = [_complex_vector(r, where) for r in raw]
     if len({r.size for r in rows}) != 1:
         raise ParseError(f"{where}: rows have differing lengths")
+    if rows[0].size != len(rows):
+        raise ValidationError("NonSquareMatrix",
+                              f"{where}: {len(rows)} rows of {rows[0].size} entries")
     return np.array(rows, dtype=complex)
 
 
@@ -160,6 +177,22 @@ def _require(mapping, key, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"{where}: missing required field {key!r}")
     return mapping[key]
+
+
+def parse_families(raw) -> dict[str, np.ndarray]:
+    """Declared families: names mapped to unitary matrices (columns = basis vectors)."""
+    if not raw:
+        return {}
+    if not isinstance(raw, dict):
+        raise ParseError("families must be a mapping from names to matrices")
+    families: dict[str, np.ndarray] = {}
+    for fname, rows in raw.items():
+        basis = _square_matrix(rows, f"families.{fname}")
+        if orthonormality_defect(basis) > ATOL:
+            raise ValidationError("FamilyNotUnitary",
+                                  f"family {fname!r} basis is not unitary")
+        families[fname] = basis
+    return families
 
 
 def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> CompleteFamily:
@@ -183,6 +216,22 @@ def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> Comp
     raise ValidationError("UnknownFamily", f"no family named {name!r}")
 
 
+def _check_measurement(where: str, pointer: str, system: str, family: str,
+                       dims, families) -> None:
+    """The rules a pointer recording a system obeys, in a measure event or a query."""
+    if pointer == system:
+        raise ValidationError(
+            "SelfMeasurement",
+            f"{where}: {pointer!r} cannot measure itself; there is no meaning "
+            "in being correlated with oneself")
+    if dims[pointer] < dims[system]:
+        raise ValidationError(
+            "PointerTooSmall",
+            f"{where}: pointer {pointer!r} (dim {dims[pointer]}) cannot record "
+            f"all outcomes of {system!r} (dim {dims[system]})")
+    resolve_family(family, dims[system], families)
+
+
 def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
     where = f"events[{idx}].measure"
     systems, observers, families, dims = scenario_fields
@@ -198,17 +247,7 @@ def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
         raise ValidationError("NotAnObserver", f"{where}: {observer!r} is not an observer")
     if target not in dims:
         raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
-    if observer == target:
-        raise ValidationError(
-            "SelfMeasurement",
-            f"{where}: {observer!r} cannot measure itself; there is no meaning "
-            "in being correlated with oneself")
-    if dims[observer] < dims[target]:
-        raise ValidationError(
-            "PointerTooSmall",
-            f"{where}: observer {observer!r} (dim {dims[observer]}) cannot record "
-            f"all outcomes of {target!r} (dim {dims[target]})")
-    resolve_family(family, dims[target], families)
+    _check_measurement(where, observer, target, family, dims, families)
     return MeasureEvent(observer, target, family)
 
 
@@ -218,9 +257,7 @@ def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
     target = _require(body, "target", where)
     if target not in dims:
         raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
-    t = _require(body, "t", where)
-    if not isinstance(t, (int, float)) or isinstance(t, bool):
-        raise ParseError(f"{where}: duration t must be a number")
+    t = _real_value(_require(body, "t", where), where, "a number for the duration t")
     raw_h = _require(body, "hamiltonian", where)
     if isinstance(raw_h, str):
         if raw_h not in _BUILTIN_HAMILTONIANS:
@@ -229,16 +266,19 @@ def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
         h = _BUILTIN_HAMILTONIANS[raw_h]
         label = raw_h
     else:
-        h = _complex_matrix(raw_h, where)
+        h = _square_matrix(raw_h, where)
         label = "matrix"
     if h.shape[0] != dims[target]:
         raise ValidationError("DimensionMismatch",
                               f"{where}: Hamiltonian dim {h.shape[0]} vs "
                               f"system {target!r} dim {dims[target]}")
-    if np.max(np.abs(h - h.conj().T)) > ATOL:
+    h = Operator(h, (dims[target],))
+    if not h.is_hermitian:
         raise ValidationError("NonHermitianHamiltonian",
                               f"{where}: Hamiltonian is not hermitian")
-    return EvolveEvent(target, h, float(t), label)
+    if not math.isfinite(t * h.dim * float(np.max(np.abs(h.matrix)))):  # |E| <= dim·max|h|
+        raise ValidationError("PhaseOverflow", f"{where}: t times the Hamiltonian overflows")
+    return EvolveEvent(target, h, t, label)
 
 
 def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
@@ -285,28 +325,20 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
     if kind == "completion":
         system = system_field("system")
         pointer = system_field("pointer")
-        if system == pointer:
-            raise ValidationError("SelfMeasurement",
-                                  f"{where}: system and pointer must differ")
         family = body.get("family", "computational")
-        resolve_family(family, dims[system], families)
+        _check_measurement(where, pointer, system, family, dims, families)
         obs = observer_field(forbidden={system, pointer})
         return QueryEvent("completion", {"system": system, "pointer": pointer,
                                          "family": family, "relative_to": obs})
-    if kind == "kernel":
+    if kind in ("kernel", "interference"):
         target = system_field("target")
         fam_a = _require(body, "family_a", where)
         fam_b = _require(body, "family_b", where)
         resolve_family(fam_a, dims[target], families)
         resolve_family(fam_b, dims[target], families)
-        return QueryEvent("kernel", {"target": target, "family_a": fam_a,
-                                     "family_b": fam_b})
-    if kind == "interference":
-        target = system_field("target")
-        fam_a = _require(body, "family_a", where)
-        fam_b = _require(body, "family_b", where)
-        resolve_family(fam_a, dims[target], families)
-        resolve_family(fam_b, dims[target], families)
+        pair = {"target": target, "family_a": fam_a, "family_b": fam_b}
+        if kind == "kernel":
+            return QueryEvent("kernel", pair)
         i = _require(body, "i", where)
         j = _require(body, "j", where)
         k = _require(body, "k", where)
@@ -319,8 +351,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         if j == k:
             raise ValidationError("IndexOutOfRange",
                                   f"{where}: j and k must name distinct outcomes")
-        return QueryEvent("interference", {"target": target, "family_a": fam_a,
-                                           "family_b": fam_b, "i": i, "j": j, "k": k})
+        return QueryEvent("interference", {**pair, "i": i, "j": j, "k": k})
     raise ParseError(f"{where}: unknown query kind {kind!r}")
 
 
@@ -374,14 +405,7 @@ def parse_scenario(text: str) -> Scenario:
                 "than one state to carry correlations")
     observers = tuple(raw_observers)
 
-    families: dict[str, np.ndarray] = {}
-    for fname, raw in (doc.get("families") or {}).items():
-        basis = _complex_matrix(raw, f"families.{fname}")
-        gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > ATOL:
-            raise ValidationError("FamilyNotUnitary",
-                                  f"family {fname!r} basis is not unitary")
-        families[fname] = basis
+    families = parse_families(doc.get("families"))
 
     raw_preps = _require(doc, "preparations", "scenario")
     preparations: dict[str, np.ndarray] = {}
@@ -471,6 +495,7 @@ def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
 
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real nonnegative (global phase fix)."""
+    # not kernels.phase_fix, which gauges a unitary's row and column phases on its first row/column
     idx = int(np.argmax(np.abs(amps)))
     a = amps[idx]
     if abs(a) < 1e-12:
@@ -517,25 +542,22 @@ def _state_payload(amps: np.ndarray, systems, relative_to: str) -> dict:
     }
 
 
-def _marginal(account: _Account, target: str, family: CompleteFamily) -> np.ndarray:
+def _marginal(account: _Account, target: str, family: CompleteFamily):
+    """Born weights of the family's outcomes on the target, and the account as
+    a tensor whose target axis is in the family's basis."""
     pos = account.position(target)
     rotated = _apply_on_factors(account.amps, account.dims, (pos,),
                                 family.basis.conj().T)
-    tensor = np.abs(rotated.reshape(account.dims)) ** 2
+    tensor = rotated.reshape(account.dims)
     other = tuple(ax for ax in range(len(account.dims)) if ax != pos)
-    return tensor.sum(axis=other)
+    return (np.abs(tensor) ** 2).sum(axis=other), tensor
 
 
-def _measurement_setup(sc: Scenario, observer: str, target: str,
-                       family: CompleteFamily) -> MeasurementSetup:
-    d_t, d_o = sc.dim_of(target), sc.dim_of(observer)
-    ready = StateVector(sc.preparations[observer], (d_o,), observer)
-    marks = []
-    for i in range(d_t):
-        m = np.zeros(d_o, dtype=complex)
-        m[i] = 1.0
-        marks.append(StateVector(m, (d_o,), observer))
-    return MeasurementSetup(family, ready, tuple(marks))
+def _completion(account: _Account, system: str, pointer: str, m_op: np.ndarray) -> float:
+    """min(Re<psi|M|psi>, 1) for the correlation operator M of system and pointer."""
+    pos = (account.position(system), account.position(pointer))
+    joint = _apply_on_factors(account.amps, account.dims, pos, m_op)
+    return min(float(np.real(np.vdot(account.amps, joint))), 1.0)
 
 
 def _require_active(account: _Account, context: str) -> None:
@@ -553,11 +575,8 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
     # collapse description, relative to the measuring observer
     pos = measurer.position(ev.target)
-    probs = _marginal(measurer, ev.target, family)
-    outcome = _sample(probs, rng)
-    rotated = _apply_on_factors(measurer.amps, measurer.dims, (pos,),
-                                family.basis.conj().T)
-    tensor = rotated.reshape(measurer.dims)
+    probs, tensor = _marginal(measurer, ev.target, family)
+    outcome = sample_index(probs, rng)
     mask = np.zeros(measurer.dims[pos])
     mask[outcome] = 1.0
     shape = [1] * len(measurer.dims)
@@ -583,8 +602,12 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         "entangled": [],
     }
 
-    # entangling description, relative to every non-participating observer
-    setup = _measurement_setup(sc, ev.observer, ev.target, family)
+    # entangling description, relative to every non-participating observer;
+    # the measurer's prepared state is the pointer's ready state
+    d_o = sc.dim_of(ev.observer)
+    setup = replace(
+        standard_setup(sc.dim_of(ev.target), d_o, family, tag=ev.observer),
+        pointer_ready=StateVector(sc.preparations[ev.observer], (d_o,), ev.observer))
     u_pre = premeasurement_unitary(setup).matrix
     m_op = correlation_operator(setup).matrix
     for obs in sc.observers:
@@ -593,18 +616,15 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         account = accounts[obs]
         if account.broken is not None:
             continue
-        pos_t = account.position(ev.target)
-        pos_o = account.position(ev.observer)
-        account.apply_on((pos_t, pos_o), u_pre)
-        joint = _apply_on_factors(account.amps, account.dims, (pos_t, pos_o), m_op)
-        completion = min(float(np.real(np.vdot(account.amps, joint))), 1.0)
-        q_marginal = _marginal(account, ev.target, family)
+        account.apply_on((account.position(ev.target), account.position(ev.observer)),
+                         u_pre)
+        q_marginal, _ = _marginal(account, ev.target, family)
         cluster_names, cluster_amps = _minimal_cluster(
             account, (ev.target, ev.observer))
         entry["entangled"].append({
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),
-            "completion_probability": completion,
+            "completion_probability": _completion(account, ev.target, ev.observer, m_op),
             "q_marginal": [float(p) for p in q_marginal],
             "marginal_agreement": float(np.max(np.abs(q_marginal - probs))),
         })
@@ -619,8 +639,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
 def _run_evolve(sc: Scenario, ev: EvolveEvent, idx: int, accounts,
                 report: Report) -> None:
-    w, v = np.linalg.eigh(ev.hamiltonian)
-    u = (v * np.exp(-1j * ev.t * w)) @ v.conj().T
+    u = propagator(ev.hamiltonian, ev.t).unitary.matrix
     for obs in sc.observers:
         account = accounts[obs]
         if account.broken is not None or ev.target == obs:
@@ -639,9 +658,14 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
                report: Report) -> None:
     params = ev.params
     entry = {"event": idx, "kind": "query", "query": ev.kind}
-    if ev.kind == "state":
+    if ev.kind in ("kernel", "interference"):
+        dim = sc.dim_of(params["target"])
+        kernel = kernel_from_families(resolve_family(params["family_a"], dim, sc.families),
+                                      resolve_family(params["family_b"], dim, sc.families))
+    else:
         account = accounts[params["relative_to"]]
-        _require_active(account, f"event {idx}: state query")
+        _require_active(account, f"event {idx}: {ev.kind} query")
+    if ev.kind == "state":
         names, amps = _minimal_cluster(account, params["of"])
         defined = set(names) == set(params["of"])
         entry["of"] = list(params["of"])
@@ -652,11 +676,9 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
                              f"smallest factoring group is {list(names)}")
         entry["state"] = _state_payload(amps, names, params["relative_to"])
     elif ev.kind == "marginal":
-        account = accounts[params["relative_to"]]
-        _require_active(account, f"event {idx}: marginal query")
         family = resolve_family(params["family"], sc.dim_of(params["target"]),
                                 sc.families)
-        probs = _marginal(account, params["target"], family)
+        probs, _ = _marginal(account, params["target"], family)
         entry.update({
             "target": params["target"],
             "family": params["family"],
@@ -664,16 +686,12 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
             "probabilities": [float(p) for p in probs],
         })
     elif ev.kind == "completion":
-        account = accounts[params["relative_to"]]
-        _require_active(account, f"event {idx}: completion query")
         family = resolve_family(params["family"], sc.dim_of(params["system"]),
                                 sc.families)
-        setup = _measurement_setup(sc, params["pointer"], params["system"], family)
-        m_op = correlation_operator(setup).matrix
-        pos = (account.position(params["system"]),
-               account.position(params["pointer"]))
-        joint = _apply_on_factors(account.amps, account.dims, pos, m_op)
-        value = min(float(np.real(np.vdot(account.amps, joint))), 1.0)
+        setup = standard_setup(sc.dim_of(params["system"]), sc.dim_of(params["pointer"]),
+                               family, tag=params["pointer"])
+        value = _completion(account, params["system"], params["pointer"],
+                            correlation_operator(setup).matrix)
         entry.update({
             "system": params["system"],
             "pointer": params["pointer"],
@@ -682,10 +700,6 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
             "completion_probability": value,
         })
     elif ev.kind == "kernel":
-        dim = sc.dim_of(params["target"])
-        fam_a = resolve_family(params["family_a"], dim, sc.families)
-        fam_b = resolve_family(params["family_b"], dim, sc.families)
-        kernel = kernel_from_families(fam_a, fam_b)
         check = verify_double_stochastic(kernel.p)
         entry.update({
             "target": params["target"],
@@ -697,10 +711,6 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
             "max_stochastic_violation": check.max_violation,
         })
     elif ev.kind == "interference":
-        dim = sc.dim_of(params["target"])
-        fam_a = resolve_family(params["family_a"], dim, sc.families)
-        fam_b = resolve_family(params["family_b"], dim, sc.families)
-        kernel = kernel_from_families(fam_a, fam_b)
         i, j, k = params["i"] - 1, params["j"] - 1, params["k"] - 1
         composite = composite_probability(kernel, i, (j, k))
         classical = classical_composite_probability(kernel, i, (j, k))
@@ -715,12 +725,6 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
             "interference_gap": composite - classical,
         })
     report.entries.append(entry)
-
-
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(probs)
-    u = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
 
 
 def run(sc: Scenario, seed: int | None = None) -> Report:
@@ -826,6 +830,11 @@ def _probs_text(probs) -> str:
     return "[" + ", ".join(_fmt_float(p) for p in probs) + "]"
 
 
+def _post_state_line(st: dict) -> str:
+    return (f"   relative to {st['relative_to']}: state of {','.join(st['systems'])} = "
+            f"{_amplitudes_text(st['amplitudes'])}")
+
+
 def _table_lines(report: Report) -> list[str]:
     lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
     for entry in report.entries:
@@ -835,15 +844,9 @@ def _table_lines(report: Report) -> list[str]:
             c = entry["collapse"]
             lines.append(f"   relative to {c['relative_to']}: outcome {c['outcome']}"
                          f"  probabilities {_probs_text(c['probabilities'])}")
-            st = c["post_state"]
-            lines.append(f"   relative to {c['relative_to']}: state of "
-                         f"{','.join(st['systems'])} = "
-                         f"{_amplitudes_text(st['amplitudes'])}")
+            lines.append(_post_state_line(c["post_state"]))
             for ent in entry["entangled"]:
-                st = ent["post_state"]
-                lines.append(f"   relative to {ent['relative_to']}: state of "
-                             f"{','.join(st['systems'])} = "
-                             f"{_amplitudes_text(st['amplitudes'])}")
+                lines.append(_post_state_line(ent["post_state"]))
                 lines.append(f"   relative to {ent['relative_to']}: completion "
                              f"probability {_fmt_float(ent['completion_probability'])}"
                              f"  q-marginal {_probs_text(ent['q_marginal'])}")

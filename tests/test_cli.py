@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from relaqm.cli import main
 from relaqm.scenario import fixture_path
 
@@ -114,3 +116,46 @@ def test_subprocess_exit_codes():
     assert invoke("run", WIGNER).returncode == 0
     assert invoke("run", SELF).returncode == 2
     assert invoke("unistochastic", OFFDIAG).returncode == 3
+
+
+def _scenario(dim_s=2, prep_s="[[1.0, 0.0], [0.0, 0.0]]", extra="", events="[]"):
+    ready = "[[1.0, 0.0], [0.0, 0.0]]"
+    return (f"systems: [{{name: S, dim: {dim_s}}}, {{name: O, dim: 2}}, {{name: P, dim: 2}}]\n"
+            f"observers: [O, P]\n{extra}\n"
+            f"preparations: {{S: {prep_s}, O: {ready}, P: {ready}}}\n"
+            f"events: {events}\n")
+
+
+REJECTED_INPUTS = {
+    "nan_preparation": ("run", _scenario(prep_s="[.nan, 1.0]")),
+    "nan_duration": ("run", _scenario(
+        events="[{evolve: {target: S, hamiltonian: pauli_x, t: .nan}}]")),
+    "inf_duration": ("run", _scenario(
+        events="[{evolve: {target: S, hamiltonian: pauli_x, t: -.inf}}]")),
+    "non_square_family": ("run", _scenario(
+        extra="families: {wide: [[1, 0, 0], [0, 1, 0]]}")),
+    "non_square_hamiltonian": ("run", _scenario(
+        events="[{evolve: {target: S, hamiltonian: [[1, 0, 0], [0, 1, 0]], t: 1.0}}]")),
+    "completion_pointer_too_small": ("run", _scenario(
+        dim_s=3, prep_s="[1.0, 0.0, 0.0]",
+        events="[{query: {kind: completion, system: S, pointer: O, relative_to: P}}]")),
+    "scenario_families_as_list": ("run", _scenario(
+        extra="families: [[[1, 0], [0, 1]]]")),
+    "kernel_families_as_list": ("kernel", "dim: 2\nfamilies: [[[1, 0], [0, 1]]]\n"),
+    "kernel_family_not_unitary": ("kernel", "dim: 2\nfamilies: {bad: [[1, 1], [0, 1]]}\n"
+                                            "pairs: [[computational, bad]]\n"),
+    "kernel_triple_entry": ("kernel", "dim: 2\nfamilies: {bad: [[[1, 2, 3], 0], [0, 1]]}\n"),
+    "kernel_string_entry": ("kernel", "dim: 2\nfamilies: {bad: [['1', 0], [0, 1]]}\n"),
+    "kernel_non_finite_entry": ("kernel", "dim: 2\nfamilies: {bad: [[.nan, 0], [0, 1]]}\n"),
+    "kernel_non_square_family": ("kernel", "dim: 2\nfamilies: {wide: [[1, 0, 0], [0, 1, 0]]}\n"),
+    "kernel_one_name_pair": ("kernel", "dim: 2\npairs: [[computational]]\n"),
+    "kernel_dim_not_integer": ("kernel", "dim: two\n"),
+}
+
+
+@pytest.mark.parametrize("command, text", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
+def test_malformed_input_exits_2(tmp_path, capsys, command, text):
+    doc = tmp_path / "input.yaml"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 2
+    assert "error:" in capsys.readouterr().err
