@@ -137,7 +137,12 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_unistochastic(args) -> int:
-    p = np.loadtxt(args.matrix, ndmin=2)
+    try:
+        p = np.loadtxt(args.matrix, ndmin=2)
+    except ValueError as exc:  # a non-numeric entry or ragged rows
+        raise ParseError(f"{args.matrix}: not a matrix of real numbers ({exc})") from exc
+    if p.size == 0:
+        raise ParseError(f"{args.matrix}: no matrix entries")
     check = verify_double_stochastic(p)
     sys.stdout.write(f"doubly stochastic check: {check}\n")
     try:

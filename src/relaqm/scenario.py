@@ -25,6 +25,7 @@ significant digits) suitable for golden-file comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -179,6 +180,13 @@ def _require(mapping, key, where: str):
     return mapping[key]
 
 
+def _name(raw, where: str):
+    """A system, observer or family name; names are strings."""
+    if not isinstance(raw, str):
+        raise ParseError(f"{where}: a name must be a string, got {raw!r}")
+    return raw
+
+
 def parse_families(raw) -> dict[str, np.ndarray]:
     """Declared families: names mapped to unitary matrices (columns = basis vectors)."""
     if not raw:
@@ -241,8 +249,9 @@ def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
             "SimultaneousMeasurement",
             f"{where}: {list(observer)} cannot measure in one event; events are "
             "strictly ordered, one observer has to obtain the information first")
-    target = _require(body, "target", where)
-    family = body.get("family", "computational")
+    observer = _name(observer, where)
+    target = _name(_require(body, "target", where), where)
+    family = _name(body.get("family", "computational"), where)
     if observer not in observers:
         raise ValidationError("NotAnObserver", f"{where}: {observer!r} is not an observer")
     if target not in dims:
@@ -254,7 +263,7 @@ def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
 def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
     where = f"events[{idx}].evolve"
     _, _, _, dims = scenario_fields
-    target = _require(body, "target", where)
+    target = _name(_require(body, "target", where), where)
     if target not in dims:
         raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
     t = _real_value(_require(body, "t", where), where, "a number for the duration t")
@@ -287,7 +296,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
     kind = _require(body, "kind", where)
 
     def observer_field(key="relative_to", forbidden=()):
-        obs = _require(body, key, where)
+        obs = _name(_require(body, key, where), where)
         if obs not in observers:
             raise ValidationError("NotAnObserver", f"{where}: {obs!r} is not an observer")
         if obs in forbidden:
@@ -297,7 +306,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         return obs
 
     def system_field(key):
-        name = _require(body, key, where)
+        name = _name(_require(body, key, where), where)
         if name not in dims:
             raise ValidationError("UnknownSystem", f"{where}: unknown system {name!r}")
         return name
@@ -309,7 +318,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         if not isinstance(of, list) or not of:
             raise ParseError(f"{where}: 'of' must be a system name or list of names")
         for name in of:
-            if name not in dims:
+            if _name(name, where) not in dims:
                 raise ValidationError("UnknownSystem", f"{where}: unknown system {name!r}")
         if len(set(of)) != len(of):
             raise ParseError(f"{where}: duplicate systems in 'of'")
@@ -317,7 +326,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         return QueryEvent("state", {"of": tuple(of), "relative_to": obs})
     if kind == "marginal":
         target = system_field("target")
-        family = body.get("family", "computational")
+        family = _name(body.get("family", "computational"), where)
         resolve_family(family, dims[target], families)
         obs = observer_field(forbidden={target})
         return QueryEvent("marginal", {"target": target, "family": family,
@@ -325,15 +334,15 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
     if kind == "completion":
         system = system_field("system")
         pointer = system_field("pointer")
-        family = body.get("family", "computational")
+        family = _name(body.get("family", "computational"), where)
         _check_measurement(where, pointer, system, family, dims, families)
         obs = observer_field(forbidden={system, pointer})
         return QueryEvent("completion", {"system": system, "pointer": pointer,
                                          "family": family, "relative_to": obs})
     if kind in ("kernel", "interference"):
         target = system_field("target")
-        fam_a = _require(body, "family_a", where)
-        fam_b = _require(body, "family_b", where)
+        fam_a = _name(_require(body, "family_a", where), where)
+        fam_b = _name(_require(body, "family_b", where), where)
         resolve_family(fam_a, dims[target], families)
         resolve_family(fam_b, dims[target], families)
         pair = {"target": target, "family_a": fam_a, "family_b": fam_b}
@@ -380,7 +389,7 @@ def parse_scenario(text: str) -> Scenario:
     systems = []
     dims: dict[str, int] = {}
     for i, entry in enumerate(raw_systems):
-        sname = _require(entry, "name", f"systems[{i}]")
+        sname = _name(_require(entry, "name", f"systems[{i}]"), f"systems[{i}]")
         sdim = _require(entry, "dim", f"systems[{i}]")
         if not isinstance(sdim, int) or isinstance(sdim, bool) or sdim < 1:
             raise ParseError(f"systems[{i}]: dim must be a positive integer")
@@ -393,7 +402,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(raw_observers, list) or not raw_observers:
         raise ParseError("observers must be a non-empty list")
     for obs in raw_observers:
-        if obs not in dims:
+        if _name(obs, "observers") not in dims:
             raise ValidationError(
                 "ObserverNotDeclared",
                 f"observer {obs!r} is not a declared system; all systems are "
@@ -462,7 +471,13 @@ def load_scenario(path) -> Scenario:
 
 
 class _Account:
-    """One observer's joint description of every other system."""
+    """One observer's joint description of every other system.
+
+    ``blocks`` maps each system to the set of systems it has interacted with,
+    directly or through others (a partition, starting from singletons).  Only
+    an operator acting on several factors joins blocks, so the amplitudes are
+    always an exact product across blocks.
+    """
 
     def __init__(self, observer: str, names: tuple[str, ...], dims: tuple[int, ...],
                  amps: np.ndarray):
@@ -471,12 +486,16 @@ class _Account:
         self.dims = dims
         self.amps = amps
         self.broken: str | None = None
+        self.blocks = {name: frozenset((name,)) for name in names}
 
     def position(self, name: str) -> int:
         return self.names.index(name)
 
     def apply_on(self, positions: tuple[int, ...], op: np.ndarray) -> None:
         self.amps = _apply_on_factors(self.amps, self.dims, positions, op)
+        joined = frozenset().union(*(self.blocks[self.names[p]] for p in positions))
+        for name in joined:
+            self.blocks[name] = joined
 
 
 def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
@@ -506,19 +525,22 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
 def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
     """Smallest group of systems containing the targets whose joint state factors out.
 
-    Returns (names, amplitudes).  Scans subsets in deterministic order of
-    increasing size; the full account always factors trivially.
+    Returns (names, amplitudes).  Scans groups in deterministic order of
+    increasing size, then of sorted positions, and looks only at systems that
+    have interacted with the targets: the account is a product across its
+    blocks, so a factoring group that reaches outside the targets' blocks
+    leaves a smaller one inside them.  Those blocks together always factor.
     """
     n = len(account.names)
-    target_idx = frozenset(account.position(t) for t in targets)
-    candidates = []
-    for mask in range(1, 1 << n):
-        subset = frozenset(i for i in range(n) if mask & (1 << i))
-        if target_idx <= subset:
-            candidates.append(sorted(subset))
-    candidates.sort(key=lambda s: (len(s), s))
+    target_idx = tuple(account.position(t) for t in targets)
+    reach = frozenset().union(*(account.blocks[t] for t in targets))
+    pool = sorted(account.position(name) for name in reach - set(targets))
     tensor = account.amps.reshape(account.dims)
-    for subset in candidates:
+    # by size, then lexicographically; sorted(targets + extra) orders the same way
+    extras = itertools.chain.from_iterable(
+        itertools.combinations(pool, k) for k in range(len(pool) + 1))
+    for extra in extras:
+        subset = sorted(target_idx + extra)
         rest = [i for i in range(n) if i not in subset]
         moved = np.transpose(tensor, subset + rest)
         block = moved.reshape(math.prod(account.dims[i] for i in subset), -1)
@@ -531,7 +553,7 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
             factor = u[:, 0]
         names = tuple(account.names[i] for i in subset)
         return names, _canonical_phase(factor / np.linalg.norm(factor))
-    raise RuntimeError("unreachable: the full set always factors")
+    raise RuntimeError("unreachable: the targets' blocks always factor")
 
 
 def _state_payload(amps: np.ndarray, systems, relative_to: str) -> dict:

@@ -150,6 +150,17 @@ REJECTED_INPUTS = {
     "kernel_non_square_family": ("kernel", "dim: 2\nfamilies: {wide: [[1, 0, 0], [0, 1, 0]]}\n"),
     "kernel_one_name_pair": ("kernel", "dim: 2\npairs: [[computational]]\n"),
     "kernel_dim_not_integer": ("kernel", "dim: two\n"),
+    "system_name_not_string": ("run", "systems: [{name: [S], dim: 2}]\nobservers: [S]\n"
+                                      "preparations: {}\n"),
+    "observer_name_not_string": ("run", _scenario().replace("observers: [O, P]",
+                                                            "observers: [O, [P]]")),
+    "family_name_not_string": ("run", _scenario(
+        events="[{measure: {observer: O, target: S, family: [computational]}}]")),
+    "state_of_nested_list": ("run", _scenario(
+        events="[{query: {kind: state, of: [[S]], relative_to: P}}]")),
+    "unistochastic_non_numeric_entry": ("unistochastic", "0.5 x\n0.5 0.5\n"),
+    "unistochastic_ragged_rows": ("unistochastic", "0.5 0.5\n0.5 0.25 0.25\n"),
+    "unistochastic_empty_file": ("unistochastic", ""),
 }
 
 

@@ -1,7 +1,11 @@
 """Scenario parsing, the multi-observer runner, and report emission."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaqm.errors import (
     DescriptionUnavailable,
@@ -9,6 +13,7 @@ from relaqm.errors import (
     ParseError,
     ValidationError,
 )
+from relaqm import scenario as scenario_module
 from relaqm.scenario import (
     MeasureEvent,
     QueryEvent,
@@ -297,3 +302,105 @@ def test_empty_report_is_header_only():
     assert report.entries == []
     table = emit_report(report, "table")
     assert table == "scenario: test\nseed: 1\n"
+
+
+def _exhaustive_cluster(account, targets):
+    """Reference search: every subset containing the targets, by (size, positions)."""
+    n = len(account.names)
+    target_idx = frozenset(account.position(t) for t in targets)
+    candidates = []
+    for mask in range(1, 1 << n):
+        subset = frozenset(i for i in range(n) if mask & (1 << i))
+        if target_idx <= subset:
+            candidates.append(sorted(subset))
+    candidates.sort(key=lambda s: (len(s), s))
+    tensor = account.amps.reshape(account.dims)
+    for subset in candidates:
+        rest = [i for i in range(n) if i not in subset]
+        moved = np.transpose(tensor, subset + rest)
+        block = moved.reshape(math.prod(account.dims[i] for i in subset), -1)
+        if block.shape[1] == 1:
+            factor = block[:, 0]
+        else:
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            if s.size > 1 and s[1] > 1e-9:
+                continue
+            factor = u[:, 0]
+        names = tuple(account.names[i] for i in subset)
+        return names, scenario_module._canonical_phase(factor / np.linalg.norm(factor))
+    raise AssertionError("the full set always factors")
+
+
+@st.composite
+def product_accounts(draw):
+    """An account that is a product of random block states, its true blocks,
+    coarser blocks (unions of true ones) and targets."""
+    n = draw(st.integers(2, 7))
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)))
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    coarse = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    true_blocks = [[i for i in range(n) if label[i] == b] for b in sorted(set(label))]
+    order = [i for block in true_blocks for i in block]
+    amps = np.array([1.0], dtype=complex)
+    for block in true_blocks:
+        size = math.prod(dims[i] for i in block)
+        psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps = np.kron(amps, psi / np.linalg.norm(psi))
+    amps = np.transpose(amps.reshape([dims[i] for i in order]), np.argsort(order))
+
+    names = tuple(f"X{i}" for i in range(n))
+    account = scenario_module._Account("O", names, dims, amps.reshape(-1))
+    for block in true_blocks:  # a block may join others; never split
+        joined = frozenset(names[j] for j in range(n)
+                           if coarse[label[j]] == coarse[label[block[0]]])
+        for i in block:
+            account.blocks[names[i]] = joined
+    expected = {names[i] for i in range(n) if label[i] in {label[t] for t in targets}}
+    return account, tuple(names[t] for t in targets), expected
+
+
+@settings(deadline=None)
+@given(product_accounts())
+def test_pruned_cluster_search_matches_exhaustive_scan(case):
+    account, targets, expected = case
+    names, amps = scenario_module._minimal_cluster(account, targets)
+    ref_names, ref_amps = _exhaustive_cluster(account, targets)
+    assert names == ref_names
+    assert amps.tobytes() == ref_amps.tobytes()
+    assert set(names) == expected  # generic block states do not factor further
+
+
+def test_cluster_search_cost_follows_the_entangled_blocks(monkeypatch):
+    """k labs {S, F, W} and a bystander B: F measures S, then W measures F.
+
+    S starts in |0>, so each Fourier measurement entangles S with F.  The SVD
+    count must not grow with the 2^n subsets of the whole account.
+    """
+    labs = 5
+    names = [f"{x}{i}" for i in range(labs) for x in "SFW"]
+    observers = [n for n in names if not n.startswith("S")] + ["B"]
+    text = "\n".join(
+        ["name: labs", "systems:"]
+        + [f"  - {{name: {n}, dim: 2}}" for n in names + ["B"]]
+        + [f"observers: [{', '.join(observers)}]", "preparations:"]
+        + [f"  {n}: [1.0, 0.0]" for n in names + ["B"]]
+        + ["events:"]
+        + [line for i in range(labs) for line in (
+            f"  - measure: {{observer: F{i}, target: S{i}, family: fourier}}",
+            f"  - measure: {{observer: W{i}, target: F{i}}}")]) + "\n"
+    sc = parse_scenario(text)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = run(sc)
+    entangled = sum(len(entry["entangled"]) for entry in report.entries)
+    assert entangled == 75
+    assert len(calls) <= 2 * entangled
