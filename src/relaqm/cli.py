@@ -29,7 +29,7 @@ from .errors import (
     RelaqmError,
     ValidationError,
 )
-from .hilbert import OPT_ATOL
+from .hilbert import ATOL
 from .kernels import (
     kernel_from_families,
     phase_fix,
@@ -54,15 +54,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-
-def _add_common(parser: argparse.ArgumentParser, tolerance: float) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the default seed (RELAQM_SEED, then 0)")
-    parser.add_argument("--format", choices=("table", "structured"),
-                        default="table", help="stdout report format")
-    parser.add_argument("--tolerance", type=float, default=tolerance,
-                        help=f"numeric acceptance tolerance (default {tolerance:g})")
 
 
 def _env_seed() -> int | None:
@@ -95,10 +86,10 @@ def _cmd_run(args) -> int:
     if report.violations:
         sys.stderr.write("report linter found untagged states\n")
         return EXIT_NUMERIC
-    if worst > args.tolerance:
+    if worst > ATOL:
         sys.stderr.write(
             f"cross-observer marginal agreement {worst:.3g} exceeds "
-            f"tolerance {args.tolerance:g}\n")
+            f"tolerance {ATOL:g}\n")
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -133,7 +124,7 @@ def _cmd_kernel(args) -> int:
         for row in kernel.p:
             out_lines.append("  " + "  ".join(f"{x:.6f}" for x in row))
     sys.stdout.write("\n".join(out_lines) + "\n")
-    return EXIT_OK if worst <= args.tolerance else EXIT_NUMERIC
+    return EXIT_OK if worst <= ATOL else EXIT_NUMERIC
 
 
 def _cmd_unistochastic(args) -> int:
@@ -157,10 +148,10 @@ def _cmd_unistochastic(args) -> int:
         analytic = triangle_criterion_3x3(p)
         sys.stdout.write(f"triangle criterion (3x3): "
                          f"{'satisfied' if analytic else 'violated'}\n")
-        if analytic != result.accepted(args.tolerance) and result.verdict != "inconclusive":
+        if analytic != result.accepted() and result.verdict != "inconclusive":
             sys.stderr.write("search verdict disagrees with the analytic criterion\n")
             return EXIT_NUMERIC
-    if result.accepted(args.tolerance):
+    if result.accepted():
         u = phase_fix(result.U)
         sys.stdout.write("realizing unitary (gauge-fixed):\n")
         for row in u:
@@ -216,28 +207,30 @@ def main(argv=None) -> int:
         description="Observer-relative quantum scenarios, question lattices, "
                     "and transition kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the default seed (RELAQM_SEED, then 0)")
 
-    p_run = sub.add_parser("run", help="run a scenario file")
+    p_run = sub.add_parser("run", help="run a scenario file", parents=[seed])
     p_run.add_argument("scenario", help="scenario document (YAML)")
+    p_run.add_argument("--format", choices=("table", "structured"),
+                       default="table", help="stdout report format")
     p_run.add_argument("--out", default=None,
                        help="also write the structured report to this path")
-    _add_common(p_run, tolerance=1e-9)
 
     p_kernel = sub.add_parser("kernel", help="family-pair kernel tables")
     p_kernel.add_argument("file", help="kernel request document (YAML)")
-    _add_common(p_kernel, tolerance=1e-9)
 
-    p_uni = sub.add_parser("unistochastic",
+    p_uni = sub.add_parser("unistochastic", parents=[seed],
                            help="search for a unitary with |U|^2 = p")
     p_uni.add_argument("matrix", help="whitespace-separated rows of reals")
     p_uni.add_argument("--starts", type=int, default=64)
     p_uni.add_argument("--iters", type=int, default=500)
-    _add_common(p_uni, tolerance=OPT_ATOL)
 
-    p_lat = sub.add_parser("lattice-check", help="random sweep of lattice laws")
+    p_lat = sub.add_parser("lattice-check", parents=[seed],
+                           help="random sweep of lattice laws")
     p_lat.add_argument("dim", type=int)
     p_lat.add_argument("--trials", type=int, default=200)
-    _add_common(p_lat, tolerance=1e-9)
 
     args = parser.parse_args(argv)
     handlers = {

@@ -49,7 +49,7 @@ from .kernels import (
     kernel_from_families,
     verify_double_stochastic,
 )
-from .measurement import correlation_operator, premeasurement_unitary, standard_setup
+from .measurement import premeasurement_unitary, standard_setup
 from .questions import CompleteFamily
 
 __all__ = [
@@ -86,7 +86,7 @@ class SystemDecl:
 class MeasureEvent:
     observer: str
     target: str
-    family: str
+    family: CompleteFamily
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,8 @@ class Scenario:
     systems: tuple[SystemDecl, ...]
     observers: tuple[str, ...]
     preparations: dict[str, np.ndarray]
-    families: dict[str, np.ndarray]
     events: tuple
     seed: int
-
-    def dim_of(self, name: str) -> int:
-        for s in self.systems:
-            if s.name == name:
-                return s.dim
-        raise KeyError(name)
 
 
 @dataclass
@@ -181,9 +174,9 @@ def _require(mapping, key, where: str):
 
 
 def _name(raw, where: str):
-    """A system, observer or family name; names are strings."""
-    if not isinstance(raw, str):
-        raise ParseError(f"{where}: a name must be a string, got {raw!r}")
+    """A system, observer or family name; names are non-empty strings."""
+    if not isinstance(raw, str) or not raw:
+        raise ParseError(f"{where}: a name must be a non-empty string, got {raw!r}")
     return raw
 
 
@@ -225,8 +218,9 @@ def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> Comp
 
 
 def _check_measurement(where: str, pointer: str, system: str, family: str,
-                       dims, families) -> None:
-    """The rules a pointer recording a system obeys, in a measure event or a query."""
+                       dims, families) -> CompleteFamily:
+    """The rules a pointer recording a system obeys, in a measure event or a
+    query; returns the family the system is measured in."""
     if pointer == system:
         raise ValidationError(
             "SelfMeasurement",
@@ -237,7 +231,7 @@ def _check_measurement(where: str, pointer: str, system: str, family: str,
             "PointerTooSmall",
             f"{where}: pointer {pointer!r} (dim {dims[pointer]}) cannot record "
             f"all outcomes of {system!r} (dim {dims[system]})")
-    resolve_family(family, dims[system], families)
+    return resolve_family(family, dims[system], families)
 
 
 def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
@@ -256,8 +250,8 @@ def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
         raise ValidationError("NotAnObserver", f"{where}: {observer!r} is not an observer")
     if target not in dims:
         raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
-    _check_measurement(where, observer, target, family, dims, families)
-    return MeasureEvent(observer, target, family)
+    return MeasureEvent(observer, target,
+                        _check_measurement(where, observer, target, family, dims, families))
 
 
 def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
@@ -326,16 +320,17 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         return QueryEvent("state", {"of": tuple(of), "relative_to": obs})
     if kind == "marginal":
         target = system_field("target")
-        family = _name(body.get("family", "computational"), where)
-        resolve_family(family, dims[target], families)
+        family = resolve_family(_name(body.get("family", "computational"), where),
+                                dims[target], families)
         obs = observer_field(forbidden={target})
         return QueryEvent("marginal", {"target": target, "family": family,
                                        "relative_to": obs})
     if kind == "completion":
         system = system_field("system")
         pointer = system_field("pointer")
-        family = _name(body.get("family", "computational"), where)
-        _check_measurement(where, pointer, system, family, dims, families)
+        family = _check_measurement(where, pointer, system,
+                                    _name(body.get("family", "computational"), where),
+                                    dims, families)
         obs = observer_field(forbidden={system, pointer})
         return QueryEvent("completion", {"system": system, "pointer": pointer,
                                          "family": family, "relative_to": obs})
@@ -343,9 +338,8 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         target = system_field("target")
         fam_a = _name(_require(body, "family_a", where), where)
         fam_b = _name(_require(body, "family_b", where), where)
-        resolve_family(fam_a, dims[target], families)
-        resolve_family(fam_b, dims[target], families)
-        pair = {"target": target, "family_a": fam_a, "family_b": fam_b}
+        pair = {"target": target, "family_a": resolve_family(fam_a, dims[target], families),
+                "family_b": resolve_family(fam_b, dims[target], families)}
         if kind == "kernel":
             return QueryEvent("kernel", pair)
         i = _require(body, "i", where)
@@ -353,7 +347,7 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         k = _require(body, "k", where)
         d = dims[target]
         for name, idx_ in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx_, int) or not 1 <= idx_ <= d:
+            if not isinstance(idx_, int) or isinstance(idx_, bool) or not 1 <= idx_ <= d:
                 raise ValidationError(
                     "IndexOutOfRange",
                     f"{where}: {name}={idx_!r} outside outcome labels 1..{d}")
@@ -401,7 +395,7 @@ def parse_scenario(text: str) -> Scenario:
     raw_observers = _require(doc, "observers", "scenario")
     if not isinstance(raw_observers, list) or not raw_observers:
         raise ParseError("observers must be a non-empty list")
-    for obs in raw_observers:
+    for n, obs in enumerate(raw_observers):
         if _name(obs, "observers") not in dims:
             raise ValidationError(
                 "ObserverNotDeclared",
@@ -412,6 +406,8 @@ def parse_scenario(text: str) -> Scenario:
                 "ObserverTooSmall",
                 f"observer {obs!r} has dim {dims[obs]}; an observer needs more "
                 "than one state to carry correlations")
+        if obs in raw_observers[:n]:
+            raise ValidationError("DuplicateObserver", f"observer {obs!r} listed twice")
     observers = tuple(raw_observers)
 
     families = parse_families(doc.get("families"))
@@ -457,8 +453,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(f"events[{idx}]: unknown event kind {key!r}")
 
     return Scenario(name=name, systems=tuple(systems), observers=observers,
-                    preparations=preparations, families=families,
-                    events=tuple(events), seed=seed)
+                    preparations=preparations, events=tuple(events), seed=seed)
 
 
 def load_scenario(path) -> Scenario:
@@ -575,11 +570,17 @@ def _marginal(account: _Account, target: str, family: CompleteFamily):
     return (np.abs(tensor) ** 2).sum(axis=other), tensor
 
 
-def _completion(account: _Account, system: str, pointer: str, m_op: np.ndarray) -> float:
-    """min(Re<psi|M|psi>, 1) for the correlation operator M of system and pointer."""
-    pos = (account.position(system), account.position(pointer))
-    joint = _apply_on_factors(account.amps, account.dims, pos, m_op)
-    return min(float(np.real(np.vdot(account.amps, joint))), 1.0)
+def _completion(account: _Account, system: str, pointer: str, tensor: np.ndarray) -> float:
+    """min(<psi|M|psi>, 1) for M = sum_i |b_i><b_i| ⊗ |i><i| on system and pointer.
+
+    ``tensor`` is the account with the system's axis in the family basis b, as
+    :func:`_marginal` returns it, so <M> is the weight on its diagonal over the
+    two axes.  The pointer is at least as large as the system
+    (``PointerTooSmall``), so the diagonal holds every mark.
+    """
+    diagonal = np.diagonal(tensor, axis1=account.position(system),
+                           axis2=account.position(pointer))
+    return min(float(np.sum(np.abs(diagonal) ** 2)), 1.0)
 
 
 def _require_active(account: _Account, context: str) -> None:
@@ -591,13 +592,12 @@ def _require_active(account: _Account, context: str) -> None:
 
 def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
                  report: Report) -> None:
-    family = resolve_family(ev.family, sc.dim_of(ev.target), sc.families)
     measurer = accounts[ev.observer]
     _require_active(measurer, f"event {idx}: {ev.observer} measuring {ev.target}")
 
     # collapse description, relative to the measuring observer
     pos = measurer.position(ev.target)
-    probs, tensor = _marginal(measurer, ev.target, family)
+    probs, tensor = _marginal(measurer, ev.target, ev.family)
     outcome = sample_index(probs, rng)
     mask = np.zeros(measurer.dims[pos])
     mask[outcome] = 1.0
@@ -605,7 +605,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
     shape[pos] = measurer.dims[pos]
     tensor = tensor * mask.reshape(shape)
     collapsed = _apply_on_factors(tensor.reshape(-1), measurer.dims, (pos,),
-                                  family.basis)
+                                  ev.family.basis)
     measurer.amps = collapsed / np.linalg.norm(collapsed)
 
     entry = {
@@ -613,12 +613,12 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         "kind": "measure",
         "observer": ev.observer,
         "target": ev.target,
-        "family": ev.family,
+        "family": ev.family.label,
         "collapse": {
             "relative_to": ev.observer,
             "outcome": outcome + 1,
             "probabilities": [float(p) for p in probs],
-            "post_state": _state_payload(_canonical_phase(family.basis[:, outcome]),
+            "post_state": _state_payload(_canonical_phase(ev.family.basis[:, outcome]),
                                          [ev.target], ev.observer),
         },
         "entangled": [],
@@ -626,12 +626,11 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
     # entangling description, relative to every non-participating observer;
     # the measurer's prepared state is the pointer's ready state
-    d_o = sc.dim_of(ev.observer)
+    ready = sc.preparations[ev.observer]
     setup = replace(
-        standard_setup(sc.dim_of(ev.target), d_o, family, tag=ev.observer),
-        pointer_ready=StateVector(sc.preparations[ev.observer], (d_o,), ev.observer))
+        standard_setup(ev.family.dim, ready.size, ev.family, tag=ev.observer),
+        pointer_ready=StateVector(ready, (ready.size,), ev.observer))
     u_pre = premeasurement_unitary(setup).matrix
-    m_op = correlation_operator(setup).matrix
     for obs in sc.observers:
         if obs in (ev.observer, ev.target):
             continue
@@ -640,13 +639,13 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
             continue
         account.apply_on((account.position(ev.target), account.position(ev.observer)),
                          u_pre)
-        q_marginal, _ = _marginal(account, ev.target, family)
+        q_marginal, tensor = _marginal(account, ev.target, ev.family)
         cluster_names, cluster_amps = _minimal_cluster(
             account, (ev.target, ev.observer))
         entry["entangled"].append({
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),
-            "completion_probability": _completion(account, ev.target, ev.observer, m_op),
+            "completion_probability": _completion(account, ev.target, ev.observer, tensor),
             "q_marginal": [float(p) for p in q_marginal],
             "marginal_agreement": float(np.max(np.abs(q_marginal - probs))),
         })
@@ -676,14 +675,11 @@ def _run_evolve(sc: Scenario, ev: EvolveEvent, idx: int, accounts,
     })
 
 
-def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
-               report: Report) -> None:
+def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
     params = ev.params
     entry = {"event": idx, "kind": "query", "query": ev.kind}
     if ev.kind in ("kernel", "interference"):
-        dim = sc.dim_of(params["target"])
-        kernel = kernel_from_families(resolve_family(params["family_a"], dim, sc.families),
-                                      resolve_family(params["family_b"], dim, sc.families))
+        kernel = kernel_from_families(params["family_a"], params["family_b"])
     else:
         account = accounts[params["relative_to"]]
         _require_active(account, f"event {idx}: {ev.kind} query")
@@ -698,26 +694,20 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
                              f"smallest factoring group is {list(names)}")
         entry["state"] = _state_payload(amps, names, params["relative_to"])
     elif ev.kind == "marginal":
-        family = resolve_family(params["family"], sc.dim_of(params["target"]),
-                                sc.families)
-        probs, _ = _marginal(account, params["target"], family)
+        probs, _ = _marginal(account, params["target"], params["family"])
         entry.update({
             "target": params["target"],
-            "family": params["family"],
+            "family": params["family"].label,
             "relative_to": params["relative_to"],
             "probabilities": [float(p) for p in probs],
         })
     elif ev.kind == "completion":
-        family = resolve_family(params["family"], sc.dim_of(params["system"]),
-                                sc.families)
-        setup = standard_setup(sc.dim_of(params["system"]), sc.dim_of(params["pointer"]),
-                               family, tag=params["pointer"])
-        value = _completion(account, params["system"], params["pointer"],
-                            correlation_operator(setup).matrix)
+        _, tensor = _marginal(account, params["system"], params["family"])
+        value = _completion(account, params["system"], params["pointer"], tensor)
         entry.update({
             "system": params["system"],
             "pointer": params["pointer"],
-            "family": params["family"],
+            "family": params["family"].label,
             "relative_to": params["relative_to"],
             "completion_probability": value,
         })
@@ -725,8 +715,8 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
         check = verify_double_stochastic(kernel.p)
         entry.update({
             "target": params["target"],
-            "to_family": params["family_a"],
-            "from_family": params["family_b"],
+            "to_family": kernel.to_family,
+            "from_family": kernel.from_family,
             "p": [[float(x) for x in row] for row in kernel.p],
             "unitary": [[[float(x.real), float(x.imag)] for x in row]
                         for row in kernel.U],
@@ -738,8 +728,8 @@ def _run_query(sc: Scenario, ev: QueryEvent, idx: int, accounts,
         classical = classical_composite_probability(kernel, i, (j, k))
         entry.update({
             "target": params["target"],
-            "family_a": params["family_a"],
-            "family_b": params["family_b"],
+            "family_a": params["family_a"].label,
+            "family_b": params["family_b"].label,
             "i": params["i"],
             "jk": [params["j"], params["k"]],
             "composite_probability": composite,
@@ -762,7 +752,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
     accounts: dict[str, _Account] = {}
     for obs in sc.observers:
         names = tuple(s.name for s in sc.systems if s.name != obs)
-        dims = tuple(sc.dim_of(n) for n in names)
+        dims = tuple(s.dim for s in sc.systems if s.name != obs)
         amps = np.array([1.0], dtype=complex)
         for n in names:
             amps = np.kron(amps, sc.preparations[n])
@@ -774,7 +764,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):
-            _run_query(sc, ev, idx, accounts, report)
+            _run_query(ev, idx, accounts, report)
         else:  # pragma: no cover - parse produces only the three kinds
             raise TypeError(f"unknown event type {type(ev)}")
 

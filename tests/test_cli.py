@@ -161,6 +161,13 @@ REJECTED_INPUTS = {
     "unistochastic_non_numeric_entry": ("unistochastic", "0.5 x\n0.5 0.5\n"),
     "unistochastic_ragged_rows": ("unistochastic", "0.5 0.5\n0.5 0.25 0.25\n"),
     "unistochastic_empty_file": ("unistochastic", ""),
+    "duplicate_observer": ("run", _scenario().replace("observers: [O, P]",
+                                                      "observers: [O, P, P]")),
+    "boolean_interference_index": ("run", _scenario(
+        events="[{query: {kind: interference, target: S, family_a: computational, "
+               "family_b: hadamard, i: true, j: 1, k: 2}}]")),
+    "empty_observer_name": ("run", "systems: [{name: '', dim: 2}]\nobservers: ['']\n"
+                                   "preparations: {'': [1.0, 0.0]}\n"),
 }
 
 
@@ -170,3 +177,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, text):
     doc.write_text(text)
     assert main([command, str(doc)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", WIGNER, "--tolerance", "1"],
+    ["kernel", KERNELS, "--format", "structured"],
+    ["kernel", KERNELS, "--seed", "1"],
+    ["unistochastic", SYMMETRIC, "--tolerance", "0.5"],
+    ["lattice-check", "3", "--format", "structured"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

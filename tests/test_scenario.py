@@ -14,6 +14,8 @@ from relaqm.errors import (
     ValidationError,
 )
 from relaqm import scenario as scenario_module
+from relaqm.measurement import correlation_operator, standard_setup
+from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
     MeasureEvent,
     QueryEvent,
@@ -371,6 +373,43 @@ def test_pruned_cluster_search_matches_exhaustive_scan(case):
     assert names == ref_names
     assert amps.tobytes() == ref_amps.tobytes()
     assert set(names) == expected  # generic block states do not factor further
+
+
+@st.composite
+def completion_cases(draw):
+    """An entangled account of 2-5 systems of dim 2-4, a (system, pointer) pair
+    whose pointer is at least as large as the system, and a builtin or Haar
+    family on the system."""
+    n = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    s, p = draw(st.permutations(range(n)))[:2]
+    dims[s], dims[p] = sorted((dims[s], dims[p]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["computational", "fourier", "haar"]
+                                + ["hadamard"] * (dims[s] == 2)))
+    family = (CompleteFamily.random(dims[s], rng) if name == "haar"
+              else scenario_module.resolve_family(name, dims[s], {}))
+    size = math.prod(dims)
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    names = tuple(f"X{i}" for i in range(n))
+    account = scenario_module._Account("O", names, tuple(dims), psi / np.linalg.norm(psi))
+    return account, names[s], names[p], family
+
+
+@settings(deadline=None)
+@given(completion_cases())
+def test_completion_matches_the_correlation_operator(case):
+    """The diagonal read of the rotated account equals completion_probability's
+    min(|M psi|^2, 1), with M = correlation_operator embedded on (system, pointer)."""
+    account, system, pointer, family = case
+    s, p = account.position(system), account.position(pointer)
+    m_op = correlation_operator(standard_setup(account.dims[s], account.dims[p], family))
+    joint = scenario_module._apply_on_factors(account.amps, account.dims, (s, p),
+                                              m_op.matrix)
+    expected = min(float(np.linalg.norm(joint)) ** 2, 1.0)
+    _, tensor = scenario_module._marginal(account, system, family)
+    value = scenario_module._completion(account, system, pointer, tensor)
+    assert abs(value - expected) <= 1e-12
 
 
 def test_cluster_search_cost_follows_the_entangled_blocks(monkeypatch):
