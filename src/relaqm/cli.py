@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -61,18 +62,34 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValidationError("BadSeed", f"RELAQM_SEED={raw!r} is not an integer") from exc
+    if seed < 0:
+        raise ValidationError("BadSeed", f"RELAQM_SEED={raw!r} is negative")
+    return seed
 
 
 def _effective_seed(flag: int | None, fallback: int | None = None) -> int | None:
     if flag is not None:
+        if flag < 0:
+            raise ValidationError("BadSeed", f"--seed {flag} is negative")
         return flag
     env = _env_seed()
     if env is not None:
         return env
     return fallback
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: 0 or a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -129,7 +146,9 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_unistochastic(args) -> int:
     try:
-        p = np.loadtxt(args.matrix, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            p = np.loadtxt(args.matrix, ndmin=2)
     except ValueError as exc:  # a non-numeric entry or ragged rows
         raise ParseError(f"{args.matrix}: not a matrix of real numbers ({exc})") from exc
     if p.size == 0:
@@ -224,13 +243,13 @@ def main(argv=None) -> int:
     p_uni = sub.add_parser("unistochastic", parents=[seed],
                            help="search for a unitary with |U|^2 = p")
     p_uni.add_argument("matrix", help="whitespace-separated rows of reals")
-    p_uni.add_argument("--starts", type=int, default=64)
-    p_uni.add_argument("--iters", type=int, default=500)
+    p_uni.add_argument("--starts", type=_positive_int, default=64)
+    p_uni.add_argument("--iters", type=_positive_int, default=500)
 
     p_lat = sub.add_parser("lattice-check", parents=[seed],
                            help="random sweep of lattice laws")
     p_lat.add_argument("dim", type=int)
-    p_lat.add_argument("--trials", type=int, default=200)
+    p_lat.add_argument("--trials", type=_positive_int, default=200)
 
     args = parser.parse_args(argv)
     handlers = {

@@ -236,6 +236,11 @@ def phase_fix(u) -> np.ndarray:
     return u
 
 
+# a start whose best residual stays above this has stalled: it is not polished,
+# and when every start stalls the matrix is declared non-unistochastic
+STALL_RESIDUAL = 1e-2
+
+
 @dataclass(frozen=True)
 class UnistochasticResult:
     """Best unitary found, its residual, and each start's best residual."""
@@ -249,7 +254,7 @@ class UnistochasticResult:
         """The matrix is certified unistochastic at this tolerance."""
         return self.residual < tol
 
-    def all_stalled(self, threshold: float = 1e-2) -> bool:
+    def all_stalled(self, threshold: float = STALL_RESIDUAL) -> bool:
         """Every start stayed far from feasibility: declare non-unistochastic."""
         return bool(np.min(self.start_residuals) > threshold)
 
@@ -291,6 +296,15 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.array(basis)
 
 
+def _tangent_jacobian(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """d|U|^2 / dh_a at h = 0 for U -> e^{-iH} U, H = sum_a h_a basis[a].
+
+    One column per basis element, one row per entry of U (row-major).
+    """
+    du = -1j * (basis @ u)
+    return (2 * np.real(np.conj(u) * du)).reshape(len(basis), -1).T
+
+
 def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
                          stop: float = 1e-13) -> tuple[np.ndarray, float]:
     """Local refinement on the unitary manifold.
@@ -298,8 +312,7 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
     Levenberg-damped Gauss-Newton in the tangent coordinates U -> e^{-iH} U;
     quadratically convergent where the projection iteration only crawls.
     """
-    dim = p.shape[0]
-    basis = _hermitian_basis(dim)
+    basis = _hermitian_basis(p.shape[0])
     n_par = len(basis)
     resid = (np.abs(u) ** 2 - p).ravel()
     f = float(np.linalg.norm(resid))
@@ -307,10 +320,7 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
     for _ in range(iters):
         if f < stop:
             break
-        jac = np.empty((dim * dim, n_par))
-        for a in range(n_par):
-            du = -1j * (basis[a] @ u)
-            jac[:, a] = (2 * np.real(np.conj(u) * du)).ravel()
+        jac = _tangent_jacobian(u, basis)
         improved = False
         for _attempt in range(8):
             step = np.linalg.solve(jac.T @ jac + lam * np.eye(n_par), -jac.T @ resid)
@@ -337,13 +347,24 @@ def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
     Each start runs reflection-averaged alternating projections
     (Douglas-Rachford) between the unitary manifold -- reached by polar
     decomposition via the SVD -- and the fixed-modulus set sqrt(p) * phases,
-    from seeded random phases (start 0 uses zero phases).  The most promising
-    starts get a Gauss-Newton polish.  Starts are independent and merged by
-    minimum residual with a deterministic tie-break (lowest start index).
+    from seeded random phases (start 0 uses zero phases).  Starts are
+    independent and merged by minimum residual with a deterministic
+    tie-break (lowest start index).
+
+    The projections only crawl near a solution, so the best start is handed
+    to a Gauss-Newton polish as soon as its residual falls below a bar that
+    starts at 1e-2 and drops tenfold past each polished residual; the search
+    stops once any residual is below 1e-12.  The polish never touches the
+    projection iterates, so starts that stay above 1e-2 follow the same path
+    as without it.  If the loop ends without reaching 1e-12, the three best
+    starts below 1e-2 are polished once more.
 
     A residual below 1e-6 certifies p as unistochastic; non-unistochasticity
     is declared only when every start stalls above 1e-2.
     """
+    if n_starts < 1 or max_iters < 1:
+        raise ValueError(f"n_starts and max_iters must be positive, "
+                         f"got {n_starts} and {max_iters}")
     p = np.asarray(p, dtype=float)
     report = verify_double_stochastic(p)
     if not report.ok(OPT_ATOL):
@@ -358,21 +379,29 @@ def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
     z = root[None, :, :] * np.exp(1j * theta)
     best_res = np.full(n_starts, np.inf)
     best_u = np.zeros_like(z)
-    iterations = 0
+    bar = STALL_RESIDUAL
     for iterations in range(1, max_iters + 1):
         u = _project_unitary(z)
         res = np.linalg.norm(np.abs(u) ** 2 - p[None], axis=(1, 2))
         mask = res < best_res
         best_res[mask] = res[mask]
         best_u[mask] = u[mask]
-        if best_res.min() < stop:
+        b = int(np.argmin(best_res))
+        if stop <= best_res[b] < bar:
+            u_polished, f = _gauss_newton_polish(best_u[b], p)
+            if f < best_res[b]:
+                best_u[b] = u_polished
+                best_res[b] = f
+            while bar > best_res[b]:
+                bar /= 10
+        if best_res[b] < stop:
             break
         reflected = _project_modulus(2 * u - z, root[None])
         z = z + reflected - u
 
     if best_res.min() >= stop:
         for b in np.argsort(best_res, kind="stable")[:3]:
-            if best_res[b] >= 1e-2:
+            if best_res[b] >= STALL_RESIDUAL:
                 continue
             u_polished, f = _gauss_newton_polish(best_u[b], p)
             if f < best_res[b]:

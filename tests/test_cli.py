@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -175,7 +176,9 @@ REJECTED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, command, text):
     doc = tmp_path / "input.yaml"
     doc.write_text(text)
-    assert main([command, str(doc)]) == 2
+    with warnings.catch_warnings():  # the error line is all the user sees
+        warnings.simplefilter("error")
+        assert main([command, str(doc)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -191,3 +194,34 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["unistochastic", SYMMETRIC, "--iters", "0"],
+    ["unistochastic", SYMMETRIC, "--starts", "0"],
+    ["unistochastic", SYMMETRIC, "--starts", "-2"],
+    ["lattice-check", "3", "--trials", "0"],
+    ["lattice-check", "3", "--trials", "-1"],
+])
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (["run", WIGNER, "--seed", "-3"], None),
+    (["unistochastic", SYMMETRIC, "--seed", "-1"], None),
+    (["lattice-check", "3", "--seed", "-1"], None),
+    (["run", WIGNER], "-3"),
+    (["unistochastic", SYMMETRIC], "-1"),
+])
+def test_negative_seeds_exit_2(monkeypatch, capsys, argv, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("RELAQM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RELAQM_SEED", env_seed)
+    assert main(argv) == 2
+    assert "error: BadSeed" in capsys.readouterr().err
+

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaqm.errors import (
     FamilyMismatch,
@@ -13,7 +15,12 @@ from relaqm.errors import (
 )
 from relaqm.hilbert import haar_unitary
 from relaqm.kernels import (
+    STALL_RESIDUAL,
     TransitionKernel,
+    _hermitian_basis,
+    _project_modulus,
+    _project_unitary,
+    _tangent_jacobian,
     classical_composite_probability,
     compose,
     composite_probability,
@@ -27,6 +34,30 @@ from relaqm.kernels import (
 from relaqm.questions import CompleteFamily
 
 OFFDIAG_HALF = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+
+
+def mix(t: float) -> np.ndarray:
+    """(1 - t) J/3 + t W: unistochastic exactly for t <= 2/3 (triangle criterion)."""
+    return (1 - t) * np.full((3, 3), 1 / 3) + t * OFFDIAG_HALF
+
+
+def projection_only_start_residuals(p, seed=0, n_starts=64, max_iters=500):
+    """Each start's best residual from the Douglas-Rachford loop with no polish."""
+    p = np.asarray(p, dtype=float)
+    dim = p.shape[0]
+    root = np.sqrt(p)
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(n_starts, dim, dim))
+    theta[0] = 0.0
+    z = root[None] * np.exp(1j * theta)
+    best_res = np.full(n_starts, np.inf)
+    for _ in range(max_iters):
+        u = _project_unitary(z)
+        best_res = np.minimum(best_res,
+                              np.linalg.norm(np.abs(u) ** 2 - p[None], axis=(1, 2)))
+        if best_res.min() < 1e-12:
+            break
+        z = z + _project_modulus(2 * u - z, root[None]) - u
+    return best_res
 
 
 def projective_sequence_oracle(b: CompleteFamily, c: CompleteFamily,
@@ -243,6 +274,76 @@ def test_unistochastic_search_rejects_offdiagonal_half():
 def test_unistochastic_search_validates_input():
     with pytest.raises(NotDoublyStochastic):
         unistochastic_search([[0.9, 0.2], [0.1, 0.8]])
+    with pytest.raises(ValueError, match="positive"):
+        unistochastic_search(np.eye(2), n_starts=0)
+    with pytest.raises(ValueError, match="positive"):
+        unistochastic_search(np.eye(2), max_iters=0)
+
+
+@pytest.mark.parametrize("p", [OFFDIAG_HALF, mix(0.678)], ids=["witness", "mix_t0.678"])
+def test_hand_off_leaves_the_projection_trajectories_alone(p):
+    """Infeasible inputs run all 500 iterations.  A start that stays above the
+    stall threshold is never polished: its residual is bit-identical to the
+    bare loop's.  A polished start (at t = 0.678 every start dips below it)
+    is kept only where the polish lowered it, here by rounding noise."""
+    result = unistochastic_search(p)
+    bare = projection_only_start_residuals(p)
+    assert result.iterations == 500
+    stalled = bare > STALL_RESIDUAL
+    np.testing.assert_array_equal(result.start_residuals[stalled], bare[stalled])
+    assert np.all(result.start_residuals <= bare)
+    np.testing.assert_allclose(result.start_residuals, bare, rtol=1e-10, atol=0)
+
+
+def test_hand_off_stops_haar_searches_early():
+    """The benchmark corpus's Haar draws at d = 6 and 8 (generator seed 3,
+    drawn in the order d = 3, 4, 6, 8) stop within 100 iterations of 500.
+    Other draws can take hundreds: see ROADMAP item 4."""
+    rng = np.random.default_rng(3)
+    draws = {dim: np.abs(haar_unitary(dim, rng)) ** 2 for dim in (3, 4, 6, 8)}
+    for dim in (6, 8):
+        result = unistochastic_search(draws[dim])
+        assert result.accepted()
+        assert result.iterations < 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(2, 6), draw=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_search_on_haar_moduli_never_rejects_and_accepts_only_solutions(dim, draw, seed):
+    """Acceptance itself is not guaranteed: the d = 5 draw 4017056815 with
+    search seed 233029220 ends inconclusive at 7.3e-5 (see CHANGES.md)."""
+    p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
+    result = unistochastic_search(p, seed=seed)
+    assert result.verdict != "non-unistochastic"
+    if result.accepted():
+        assert np.max(np.abs(np.abs(result.U) ** 2 - p)) < 1e-6
+        assert np.max(np.abs(result.U.conj().T @ result.U - np.eye(dim))) < 1e-9
+
+
+# t over [0.3, 1], with 2/3 +- {0.001, 0.01} on both sides of the boundary
+BOUNDARY_MIXES = (0.3, 0.4, 0.5, 0.6, 0.62, 2 / 3 - 0.01, 2 / 3 - 0.001,
+                  2 / 3 + 0.001, 2 / 3 + 0.01, 0.72, 0.8, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("t", BOUNDARY_MIXES, ids=[f"t{t:.4f}" for t in BOUNDARY_MIXES])
+def test_search_agrees_with_the_triangle_criterion_across_the_boundary(t):
+    p = mix(t)
+    verdict = unistochastic_search(p).verdict
+    if t <= 0.62 or t >= 0.72:
+        assert verdict != "inconclusive"
+    if verdict != "inconclusive":
+        assert (verdict == "unistochastic") == triangle_criterion_3x3(p)
+
+
+def test_tangent_jacobian_matches_the_column_loop():
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 5, 8):
+        u = haar_unitary(dim, rng)
+        basis = _hermitian_basis(dim)
+        columns = [(2 * np.real(np.conj(u) * (-1j * (e @ u)))).ravel() for e in basis]
+        np.testing.assert_allclose(_tangent_jacobian(u, basis),
+                                   np.stack(columns, axis=1), rtol=0, atol=1e-15)
 
 
 def test_triangle_criterion():
