@@ -21,7 +21,6 @@ import sys
 import warnings
 
 import numpy as np
-import yaml
 
 from .errors import (
     DescriptionUnavailable,
@@ -48,7 +47,8 @@ from .questions import (
     random_question,
     same_question,
 )
-from .scenario import emit_report, load_scenario, parse_families, resolve_family, run
+from .scenario import (emit_report, load_scenario, parse_families, parse_yaml,
+                       resolve_family, run)
 
 __all__ = ["main"]
 
@@ -113,10 +113,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_kernel(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh.read())
-        except yaml.YAMLError as exc:
-            raise ParseError(f"not a well-formed document: {exc}") from exc
+        doc = parse_yaml(fh.read())
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ParseError("kernel file needs a 'dim' field")
     dim = doc["dim"]

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from .errors import (
     DescriptionUnavailable,
@@ -59,6 +58,7 @@ __all__ = [
     "EvolveEvent",
     "QueryEvent",
     "Report",
+    "parse_yaml",
     "parse_scenario",
     "load_scenario",
     "run",
@@ -135,6 +135,21 @@ def fixture_path(name: str):
 # parsing
 
 
+def parse_yaml(text: str):
+    """The data of one YAML document, read with PyYAML's safe loader.
+
+    The libyaml-backed ``CSafeLoader`` is used where PyYAML was built with
+    libyaml; the pure-Python ``SafeLoader`` builds the same tree, only slower.
+    A syntax error is a :class:`ParseError`.
+    """
+    import yaml  # deferred: `unistochastic` and `lattice-check` read no YAML
+
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ParseError(f"not a well-formed document: {exc}") from exc
+
+
 def _real_value(raw, where: str, expected: str = "a number or an [re, im] pair") -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ParseError(f"{where}: expected {expected}, got {raw!r}")
@@ -192,6 +207,7 @@ def parse_families(raw) -> dict[str, np.ndarray]:
         if orthonormality_defect(basis) > ATOL:
             raise ValidationError("FamilyNotUnitary",
                                   f"family {fname!r} basis is not unitary")
+        _name(fname, "families")
         families[fname] = basis
     return families
 
@@ -365,14 +381,10 @@ def parse_scenario(text: str) -> Scenario:
     :class:`ValidationError` (with the violated rule's name) on semantic
     violations; every invariant is checked here, not at run time.
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not a well-formed document: {exc}") from exc
+    doc = parse_yaml(text)
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
 
-    name = doc.get("name", "scenario")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ParseError("seed must be a nonnegative integer")
@@ -413,6 +425,8 @@ def parse_scenario(text: str) -> Scenario:
     families = parse_families(doc.get("families"))
 
     raw_preps = _require(doc, "preparations", "scenario")
+    if not isinstance(raw_preps, dict):
+        raise ParseError("preparations must be a mapping from system names to amplitudes")
     preparations: dict[str, np.ndarray] = {}
     for sname, sdim in dims.items():
         if sname not in raw_preps:
@@ -452,6 +466,7 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ParseError(f"events[{idx}]: unknown event kind {key!r}")
 
+    name = _name(doc.get("name", "scenario"), "name")
     return Scenario(name=name, systems=tuple(systems), observers=observers,
                     preparations=preparations, events=tuple(events), seed=seed)
 
@@ -555,7 +570,7 @@ def _state_payload(amps: np.ndarray, systems, relative_to: str) -> dict:
     return {
         "relative_to": relative_to,
         "systems": list(systems),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in amps],
+        "amplitudes": np.column_stack((amps.real, amps.imag)).tolist(),
     }
 
 
@@ -617,7 +632,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         "collapse": {
             "relative_to": ev.observer,
             "outcome": outcome + 1,
-            "probabilities": [float(p) for p in probs],
+            "probabilities": probs.tolist(),
             "post_state": _state_payload(_canonical_phase(ev.family.basis[:, outcome]),
                                          [ev.target], ev.observer),
         },
@@ -646,7 +661,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),
             "completion_probability": _completion(account, ev.target, ev.observer, tensor),
-            "q_marginal": [float(p) for p in q_marginal],
+            "q_marginal": q_marginal.tolist(),
             "marginal_agreement": float(np.max(np.abs(q_marginal - probs))),
         })
 
@@ -699,7 +714,7 @@ def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
             "target": params["target"],
             "family": params["family"].label,
             "relative_to": params["relative_to"],
-            "probabilities": [float(p) for p in probs],
+            "probabilities": probs.tolist(),
         })
     elif ev.kind == "completion":
         _, tensor = _marginal(account, params["system"], params["family"])
@@ -717,9 +732,8 @@ def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
             "target": params["target"],
             "to_family": kernel.to_family,
             "from_family": kernel.from_family,
-            "p": [[float(x) for x in row] for row in kernel.p],
-            "unitary": [[[float(x.real), float(x.imag)] for x in row]
-                        for row in kernel.U],
+            "p": kernel.p.tolist(),
+            "unitary": np.stack((kernel.U.real, kernel.U.imag), axis=-1).tolist(),
             "max_stochastic_violation": check.max_violation,
         })
     elif ev.kind == "interference":
@@ -776,21 +790,37 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
 # reporting
 
 
-def lint_report(report: Report) -> list[str]:
-    """Every amplitude payload must say which observer it is relative to."""
-    problems: list[str] = []
+_LEAF_TYPES = frozenset((float, int, str, bool, type(None)))
 
-    def walk(node, path):
+
+def lint_report(report: Report) -> list[str]:
+    """Every amplitude payload must say which observer it is relative to.
+
+    Returns one ``"<path>: state without an observer tag"`` line per untagged
+    payload, in tree order; a path is built only for a payload that fails.
+    """
+    problems: list[str] = []
+    trail: list = []  # (container, key) pairs from the entries down to the node
+
+    def walk(node):
         if isinstance(node, dict):
             if "amplitudes" in node and not node.get("relative_to"):
-                problems.append(f"{path}: state without an observer tag")
-            for key, value in node.items():
-                walk(value, f"{path}.{key}")
-        elif isinstance(node, list):
-            for n, value in enumerate(node):
-                walk(value, f"{path}[{n}]")
+                path = "".join(f"[{key}]" if isinstance(parent, list) else f".{key}"
+                               for parent, key in trail)
+                problems.append(f"entries{path}: state without an observer tag")
+            items = node.items()
+        else:
+            items = enumerate(node)
+        for key, value in items:
+            if type(value) is list and _LEAF_TYPES.issuperset(map(type, value)):
+                continue  # a row of plain scalars holds no payload
+            if isinstance(value, (dict, list)):
+                trail.append((node, key))
+                walk(value)
+                trail.pop()
 
-    walk(report.entries, "entries")
+    if isinstance(report.entries, (dict, list)):
+        walk(report.entries)
     return problems
 
 
@@ -800,23 +830,79 @@ def _fmt_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def _render_json(node, indent: int = 0) -> str:
-    pad = "  " * indent
+def _render_json(node) -> str:
+    """The structured form of a report tree: two-space indents, lists of at
+    most 16 scalars on one line, floats via :func:`_fmt_float`."""
+    out: list[str] = []
+    _render_into(node, "", out)
+    return "".join(out)
+
+
+def _render_into(node, pad: str, out: list[str]) -> None:
+    """Append the rendering of ``node``, nested at indent ``pad``, to ``out``."""
     if isinstance(node, dict):
         if not node:
-            return "{}"
-        rows = [f'{pad}  "{key}": {_render_json(value, indent + 1)}'
-                for key, value in node.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in node) \
-            and len(node) <= 16
-        if flat:
-            return "[" + ", ".join(_render_json(v) for v in node) + "]"
-        rows = [f"{pad}  {_render_json(v, indent + 1)}" for v in node]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for key, value in node.items():
+            out.append(f'{sep}{inner}"{key}": ')
+            sep = ",\n"
+            _render_into(value, inner, out)
+        out.append(f"\n{pad}}}")
+    elif isinstance(node, (list, tuple)):
+        text = _flat_text(node) or _float_rows_text(node, pad)
+        if text is not None:
+            out.append(text)
+            return
+        inner = pad + "  "
+        sep = "[\n"
+        for value in node:
+            out.append(sep + inner)
+            sep = ",\n"
+            _render_into(value, inner, out)
+        out.append(f"\n{pad}]")
+    else:
+        out.append(_scalar_text(node))
+
+
+_FLOATS_ONLY = frozenset((float,))
+# "[%.12g, ..., %.12g]" for n = 0..16: the template of one row of floats
+_FLOAT_ROWS = tuple("[" + ", ".join(["%.12g"] * n) + "]" for n in range(17))
+
+
+def _flat_text(node) -> str | None:
+    """A list or tuple on one line -- empty, or at most 16 scalars -- else None."""
+    if len(node) <= 16 and all(isinstance(v, (int, float, bool, str)) or v is None
+                               for v in node):
+        return "[" + ", ".join(map(_scalar_text, node)) + "]"
+    return None
+
+
+def _float_rows_text(node, pad: str) -> str | None:
+    """A list of flat float rows (amplitude pairs, kernel rows) in one % call,
+    one row per line; None for any other list."""
+    if not all(type(row) is list and len(row) <= 16 for row in node):
+        return None
+    values = list(itertools.chain.from_iterable(node))
+    if not _FLOATS_ONLY.issuperset(map(type, values)):
+        return None
+    if 0.0 in values:  # true for -0.0 too, which prints as 0
+        values = [v or 0.0 for v in values]
+    inner = ",\n" + pad + "  "
+    rows = inner.join([_FLOAT_ROWS[len(row)] for row in node])
+    return f"[\n{pad}  {rows}\n{pad}]" % tuple(values)
+
+
+def _scalar_text(node) -> str:
+    kind = type(node)
+    if kind is float:
+        return "%.12g" % node if node else "0"  # as _fmt_float: -0.0 prints as 0
+    if kind is str:
+        return '"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if kind is int:
+        return str(node)
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, (int, np.integer)):

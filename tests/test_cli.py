@@ -5,6 +5,7 @@ import sys
 import warnings
 
 import pytest
+import yaml
 
 from relaqm.cli import main
 from relaqm.scenario import fixture_path
@@ -169,17 +170,45 @@ REJECTED_INPUTS = {
                "family_b: hadamard, i: true, j: 1, k: 2}}]")),
     "empty_observer_name": ("run", "systems: [{name: '', dim: 2}]\nobservers: ['']\n"
                                    "preparations: {'': [1.0, 0.0]}\n"),
+    "preparations_scalar": ("run", _scenario().replace(
+        "preparations: {S: [[1.0, 0.0], [0.0, 0.0]], O: [[1.0, 0.0], [0.0, 0.0]], "
+        "P: [[1.0, 0.0], [0.0, 0.0]]}", "preparations: 3")),
+    "preparations_list": ("run", _scenario().replace(
+        "preparations: {S: [[1.0, 0.0], [0.0, 0.0]], O: [[1.0, 0.0], [0.0, 0.0]], "
+        "P: [[1.0, 0.0], [0.0, 0.0]]}", "preparations: [S, O]")),
+    "scenario_name_not_string": ("run", "name: [a]\n" + _scenario()),
+    "family_key_not_string": ("run", _scenario(extra="families: {1: [[1, 0], [0, 1]]}")),
+    "kernel_family_key_not_string": ("kernel", "dim: 2\nfamilies: {1: [[1, 0], [0, 1]]}\n"),
 }
 
 
-@pytest.mark.parametrize("command, text", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
-def test_malformed_input_exits_2(tmp_path, capsys, command, text):
+def _assert_rejected(tmp_path, capsys, command, text):
     doc = tmp_path / "input.yaml"
     doc.write_text(text)
     with warnings.catch_warnings():  # the error line is all the user sees
         warnings.simplefilter("error")
         assert main([command, str(doc)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
+def test_malformed_input_exits_2(tmp_path, capsys, command, text):
+    _assert_rejected(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("command, text", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
+def test_malformed_input_exits_2_without_libyaml(tmp_path, capsys, monkeypatch,
+                                                 command, text):
+    """The same inputs through PyYAML's pure-Python loader, the one used
+    where PyYAML was built without libyaml."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    _assert_rejected(tmp_path, capsys, command, text)
+
+
+def test_importing_the_package_does_not_load_yaml():
+    """Only `run` and `kernel` read YAML; the other subcommands skip its import."""
+    code = "import sys, relaqm, relaqm.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,309 @@
+"""Scenario I/O: the YAML loaders, the structured renderer and the report linter.
+
+The recursive renderer and linter below are the reference implementations the
+library's one-buffer renderer and path-on-failure linter must agree with.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relaqm.cli import main
+from relaqm.errors import RelaqmError
+from relaqm.scenario import (
+    Report,
+    _render_json,
+    emit_report,
+    fixture_path,
+    lint_report,
+    parse_scenario,
+    parse_yaml,
+    run,
+)
+
+WIGNER = fixture_path("wigner_friend.yaml")
+YAML_FIXTURES = sorted(p.name for p in fixture_path("").iterdir() if p.name.endswith(".yaml"))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def reference_render(node, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        rows = [f'{pad}  "{key}": {reference_render(value, indent + 1)}'
+                for key, value in node.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in node) \
+            and len(node) <= 16
+        if flat:
+            return "[" + ", ".join(reference_render(v) for v in node) + "]"
+        rows = [f"{pad}  {reference_render(v, indent + 1)}" for v in node]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, (int, np.integer)):
+        return str(int(node))
+    if isinstance(node, (float, np.floating)):
+        x = float(node)
+        if x == 0:
+            x = 0.0
+        return format(x, ".12g")
+    if node is None:
+        return "null"
+    return '"' + str(node).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_lint(report: Report) -> list[str]:
+    problems: list[str] = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            if "amplitudes" in node and not node.get("relative_to"):
+                problems.append(f"{path}: state without an observer tag")
+            for key, value in node.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for n, value in enumerate(node):
+                walk(value, f"{path}[{n}]")
+
+    walk(report.entries, "entries")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# renderer
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_TEXT = st.text(alphabet=st.sampled_from(list('ab "\\\n\té{}[],:')), max_size=6)
+_SCALARS = st.one_of(
+    _FLOATS,
+    st.sampled_from([0.0, -0.0, 1e-300, -2.5e-17, 1 / 3]),
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    _FLOATS.map(np.float64),
+    st.integers(-10**6, 10**6).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_FLAT_ROWS = st.one_of(
+    st.lists(_FLOATS, min_size=16, max_size=17),
+    st.lists(_SCALARS, min_size=16, max_size=17),
+    st.lists(st.sampled_from([0.0, -0.0, 0.5]), min_size=1, max_size=4),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.lists(st.lists(_FLOATS, max_size=3), max_size=4),  # rows of floats
+    )
+
+
+_TREES = st.recursive(st.one_of(_SCALARS, _FLAT_ROWS), _containers, max_leaves=40)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_TREES)
+def test_renderer_matches_the_recursive_reference(tree):
+    assert _render_json(tree) == reference_render(tree)
+
+
+@pytest.mark.parametrize("node", [
+    [], (), {}, [[]], [[], []], {"a": {}}, [1.0] * 16, [1.0] * 17, [[0.0, -0.0]] * 3,
+    [np.float64(-0.0), np.int64(3), np.bool_(True)], 'say "hi" \\ bye',
+    [[1.0, 2.0], [np.float64(3.0), 4.0]], [[1.0], (2.0,)], [[1.0] * 17, [1.0]],
+])
+def test_renderer_edge_cases(node):
+    assert _render_json(node) == reference_render(node)
+
+
+# ---------------------------------------------------------------------------
+# linter
+
+
+def _untagged_report() -> Report:
+    """The Wigner's-friend report with untagged payloads in three places."""
+    report = run(parse_scenario(WIGNER.read_text()))
+    entries = copy.deepcopy(report.entries)
+    measure = next(e for e in entries if e["kind"] == "measure")
+    del measure["entangled"][0]["post_state"]["relative_to"]
+    query = next(e for e in entries if e.get("query") == "state")
+    query["state"]["relative_to"] = ""
+    entries.append({"kind": "query", "nested": [[{"systems": ["S"],
+                                                  "amplitudes": [[1.0, 0.0]]}], []]})
+    return Report(scenario="bad", seed=0, entries=entries)
+
+
+def test_linter_names_the_untagged_payloads_as_the_reference_does():
+    report = _untagged_report()
+    problems = lint_report(report)
+    assert problems == reference_lint(report)
+    measure_idx = next(i for i, e in enumerate(report.entries) if e["kind"] == "measure")
+    query_idx = next(i for i, e in enumerate(report.entries) if e.get("query") == "state")
+    assert problems == [
+        f"entries[{measure_idx}].entangled[0].post_state: state without an observer tag",
+        f"entries[{query_idx}].state: state without an observer tag",
+        f"entries[{len(report.entries) - 1}].nested[0][0]: state without an observer tag",
+    ]
+
+
+QUERIES = """
+name: queries
+systems: [{name: S, dim: 3}, {name: O, dim: 3}, {name: P, dim: 3}]
+observers: [O, P]
+preparations: {S: [0.6, 0.8, 0.0], O: [1.0, 0.0, 0.0], P: [[0.0, 1.0], 0.0, 0.0]}
+events:
+  - measure: {observer: O, target: S, family: fourier}
+  - query: {kind: state, of: [S], relative_to: P}
+  - query: {kind: kernel, target: S, family_a: computational, family_b: fourier}
+  - query: {kind: interference, target: S, family_a: computational, family_b: fourier,
+            i: 1, j: 2, k: 3}
+  - query: {kind: completion, system: S, pointer: O, relative_to: P}
+"""
+
+
+@pytest.mark.parametrize("text", [WIGNER.read_text(), QUERIES], ids=["wigner", "queries"])
+def test_clean_reports_render_and_lint_as_the_references_do(text):
+    report = run(parse_scenario(text))
+    assert lint_report(report) == reference_lint(report) == []
+    tree = {"scenario": report.scenario, "seed": report.seed,
+            "entries": report.entries, "violations": report.violations}
+    assert emit_report(report, "structured") == reference_render(tree) + "\n"
+
+
+_PAYLOADS = st.fixed_dictionaries(
+    {"amplitudes": st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3)},
+    optional={"relative_to": st.sampled_from(["", "O", None]), "systems": st.just(["S"])})
+_LINT_TREES = st.recursive(
+    st.one_of(_SCALARS, _PAYLOADS),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(st.one_of(_TEXT, st.integers(0, 3)),
+                                               children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_LINT_TREES, max_size=4))
+def test_linter_matches_the_recursive_reference(entries):
+    report = Report(scenario="x", seed=0, entries=entries)
+    assert lint_report(report) == reference_lint(report)
+
+
+# ---------------------------------------------------------------------------
+# loaders
+
+needs_libyaml = pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                                   reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", YAML_FIXTURES)
+def test_loaders_build_equal_trees_for_shipped_fixtures(name):
+    text = fixture_path(name).read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+_DOC_SCALARS = st.one_of(
+    st.floats(allow_nan=False), st.integers(), st.booleans(), st.none(),
+    st.text(max_size=8), st.sampled_from(["yes", "no", "1e3", "0x1f", ".inf", "~", "null",
+                                          "3.0", "-0.0", "2024-01-01", "'", ": x"]))
+_DOCS = st.recursive(
+    _DOC_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=25)
+
+
+@needs_libyaml
+@settings(deadline=None, max_examples=200)
+@given(_DOCS, st.sampled_from([None, True, False]))
+def test_loaders_build_equal_trees_for_random_documents(doc, flow):
+    text = yaml.safe_dump({"name": "random", "events": doc}, default_flow_style=flow,
+                          allow_unicode=True)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@needs_libyaml
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_loaders_build_equal_trees_for_random_scenarios(seed):
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 5, size=3)
+    names = ["S", "O", "P"]
+    preps = {}
+    for n, d in zip(names, dims):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        preps[n] = [[float(x.real), float(x.imag)] for x in v]
+    doc = {"name": f"s{seed}", "seed": int(seed),
+           "systems": [{"name": n, "dim": int(d)} for n, d in zip(names, dims)],
+           "observers": ["O", "P"], "preparations": preps,
+           "events": [{"measure": {"observer": "O", "target": "S"}},
+                      {"query": {"kind": "state", "of": ["S"], "relative_to": "P"}}]}
+    text = yaml.safe_dump(doc, sort_keys=False,
+                          default_flow_style=[None, True, False][seed % 3])
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def loader(request, monkeypatch):
+    """Run a test with the libyaml loader and again with the pure-Python one."""
+    if request.param == "libyaml":
+        if not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML built without libyaml")
+    else:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "systems: [1, 2"),
+    ("run", "name: x\n  bad: indent\n"),
+    ("run", "a: 'unclosed\n"),
+    ("run", "- a\nb: c\n"),
+    ("run", "\tname: tab\n"),
+    ("kernel", "dim: [2\n"),
+    ("kernel", "pairs: {a: b\n"),
+])
+def test_both_loaders_reject_malformed_documents(loader, tmp_path, capsys, command, text):
+    doc = tmp_path / "input.yaml"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 2
+    assert "not a well-formed document" in capsys.readouterr().err
+
+
+def test_golden_report_with_either_loader(loader, capsys):
+    assert main(["run", str(WIGNER), "--format", "structured"]) == 0
+    assert capsys.readouterr().out == fixture_path("wigner_friend.report.json").read_text()
+
+
+def _outcome(text: str) -> str:
+    try:
+        return emit_report(run(parse_scenario(text)), "structured")
+    except RelaqmError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", YAML_FIXTURES)
+def test_fixtures_give_the_same_outcome_without_libyaml(monkeypatch, name):
+    text = fixture_path(name).read_text()
+    with_libyaml = _outcome(text)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert _outcome(text) == with_libyaml
