@@ -11,6 +11,9 @@ Exit codes: 0 success, 2 validation error (malformed or rule-violating
 input), 3 numeric-check failure.  The environment variable RELAQM_SEED
 provides a default seed; an explicit --seed flag wins over it, and both win
 over a seed stored in a scenario file.
+
+Each subcommand imports the layers it runs when it runs, so a cold
+``unistochastic`` or ``lattice-check`` never loads the scenario runner.
 """
 
 from __future__ import annotations
@@ -37,18 +40,6 @@ from .kernels import (
     unistochastic_search,
     verify_double_stochastic,
 )
-from .questions import (
-    Question,
-    implies,
-    join,
-    meet,
-    negate,
-    orthomodular_check,
-    random_question,
-    same_question,
-)
-from .scenario import (emit_report, load_scenario, parse_families, parse_yaml,
-                       resolve_family, run)
 
 __all__ = ["main"]
 
@@ -93,12 +84,17 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import emit_report, load_scenario, run
+
     sc = load_scenario(args.scenario)
     report = run(sc, seed=_effective_seed(args.seed))
-    sys.stdout.write(emit_report(report, format=args.format))
+    text = emit_report(report, format=args.format)
+    sys.stdout.write(text)
     if args.out:
+        if args.format != "structured":
+            text = emit_report(report, format="structured")
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(report, format="structured"))
+            fh.write(text)
     worst = report.worst_marginal_agreement()
     if report.violations:
         sys.stderr.write("report linter found untagged states\n")
@@ -112,6 +108,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .scenario import parse_families, parse_yaml, resolve_family
+
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse_yaml(fh.read())
     if not isinstance(doc, dict) or "dim" not in doc:
@@ -179,8 +177,12 @@ def _cmd_unistochastic(args) -> int:
 
 def _lattice_laws(dim: int, trials: int, rng: np.random.Generator):
     """Randomized checks of the subspace-lattice laws; yields (law, failures)."""
+    from .questions import (Question, implies, join, meet, negate, orthomodular_check,
+                            random_question, same_question)
+
     fails = {"commutativity": 0, "associativity": 0, "de_morgan": 0,
              "double_negation": 0, "complement": 0, "orthomodular": 0}
+    always, never = Question.always(dim), Question.never(dim)
     for _ in range(trials):
         ranks = rng.integers(0, dim + 1, size=3)
         a, b, c = (random_question(dim, int(r), rng) for r in ranks)
@@ -194,8 +196,8 @@ def _lattice_laws(dim: int, trials: int, rng: np.random.Generator):
             fails["de_morgan"] += 1
         if not same_question(negate(negate(a)), a):
             fails["double_negation"] += 1
-        if not (same_question(join(a, negate(a)), Question.always(dim))
-                and same_question(meet(a, negate(a)), Question.never(dim))):
+        if not (same_question(join(a, negate(a)), always)
+                and same_question(meet(a, negate(a)), never)):
             fails["complement"] += 1
         small = random_question(dim, int(rng.integers(0, dim)), rng)
         extension = join(small, random_question(dim, int(rng.integers(0, dim)), rng))

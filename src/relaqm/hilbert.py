@@ -80,7 +80,8 @@ def _as_complex_matrix(values) -> np.ndarray:
 def orthonormality_defect(columns: np.ndarray) -> float:
     """Largest entry of ``|B†B - I|`` for the columns of B; 0 when B has none."""
     gram = columns.conj().T @ columns
-    return float(np.max(np.abs(gram - np.eye(columns.shape[1])), initial=0.0))
+    gram.flat[::gram.shape[0] + 1] -= 1  # subtract I in place
+    return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ independent certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .errors import (
     NotDoublyStochastic,
 )
 from .hilbert import ATOL, OPT_ATOL, orthonormality_defect
-from .questions import CompleteFamily
+
+if TYPE_CHECKING:
+    from .questions import CompleteFamily
 
 __all__ = [
     "TransitionKernel",

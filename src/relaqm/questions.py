@@ -154,9 +154,20 @@ def join(q1: Question, q2: Question) -> Question:
 
 
 def meet(q1: Question, q2: Question) -> Question:
-    """Intersection, computed as the double complement ¬(¬q1 ∨ ¬q2)."""
+    """Intersection, from the principal angles between q1 and q2.
+
+    The singular values of the part of q1's basis outside q2 are the sines
+    of the principal angles (Björck & Golub 1973); the right singular
+    vectors whose sine is at most RANK_TOL pick out the directions of q1
+    that lie in q2.
+    One SVD, where the double complement ¬(¬q1 ∨ ¬q2) takes four.
+    """
     _require_same_dim(q1, q2)
-    return negate(join(negate(q1), negate(q2)))
+    if q1.rank == 0 or q2.rank == 0:
+        return Question.never(q1.ambient_dim)
+    outside = q1.basis - q2.basis @ (q2.basis.conj().T @ q1.basis)
+    _, s, vh = np.linalg.svd(outside)
+    return Question(q1.basis @ vh.conj().T[:, s <= RANK_TOL])
 
 
 def orthogonal(q1: Question, q2: Question) -> bool:

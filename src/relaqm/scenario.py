@@ -824,6 +824,19 @@ def lint_report(report: Report) -> list[str]:
     return problems
 
 
+# JSON string escapes: '"', '\\' and the control characters U+0000-U+001F
+_ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+                          "\b": "\\b", "\t": "\\t", "\n": "\\n", "\f": "\\f",
+                          "\r": "\\r", '"': '\\"', "\\": "\\\\"})
+
+
+def _string_text(text: str) -> str:
+    """``text`` as a JSON string literal."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'  # the common case: nothing to escape
+    return '"' + text.translate(_ESCAPES) + '"'
+
+
 def _fmt_float(x: float) -> str:
     if x == 0:
         x = 0.0  # normalize -0.0
@@ -832,7 +845,9 @@ def _fmt_float(x: float) -> str:
 
 def _render_json(node) -> str:
     """The structured form of a report tree: two-space indents, lists of at
-    most 16 scalars on one line, floats via :func:`_fmt_float`."""
+    most 16 scalars on one line, floats via :func:`_fmt_float`, strings
+    escaped as JSON requires.  Keys are the report's own field names and
+    are written as they are."""
     out: list[str] = []
     _render_into(node, "", out)
     return "".join(out)
@@ -900,7 +915,7 @@ def _scalar_text(node) -> str:
     if kind is float:
         return "%.12g" % node if node else "0"  # as _fmt_float: -0.0 prints as 0
     if kind is str:
-        return '"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _string_text(node)
     if kind is int:
         return str(node)
     if isinstance(node, bool):
@@ -911,7 +926,7 @@ def _scalar_text(node) -> str:
         return _fmt_float(float(node))
     if node is None:
         return "null"
-    return '"' + str(node).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _string_text(str(node))
 
 
 def _amplitudes_text(pairs) -> str:

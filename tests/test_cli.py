@@ -7,8 +7,9 @@ import warnings
 import pytest
 import yaml
 
+from relaqm import scenario
 from relaqm.cli import main
-from relaqm.scenario import fixture_path
+from relaqm.scenario import emit_report, fixture_path
 
 WIGNER = str(fixture_path("wigner_friend.yaml"))
 SELF = str(fixture_path("self_measurement.yaml"))
@@ -42,6 +43,23 @@ def test_run_writes_structured_file(tmp_path, capsys):
     assert main(["run", WIGNER, "--out", str(out_file)]) == 0
     capsys.readouterr()
     assert out_file.read_text() == fixture_path("wigner_friend.report.json").read_text()
+
+
+def test_structured_run_with_out_renders_once(tmp_path, capsys, monkeypatch):
+    """`--format structured --out FILE` writes the one rendering to both."""
+    renders = []
+
+    def counting_emit(report, format="table"):
+        renders.append(format)
+        return emit_report(report, format=format)
+
+    monkeypatch.setattr(scenario, "emit_report", counting_emit)
+    out_file = tmp_path / "report.json"
+    assert main(["run", WIGNER, "--format", "structured", "--out", str(out_file)]) == 0
+    stdout = capsys.readouterr().out
+    assert out_file.read_bytes() == stdout.encode("utf-8")
+    assert stdout == fixture_path("wigner_friend.report.json").read_text()
+    assert renders == ["structured"]
 
 
 def test_run_missing_file_exits_2(capsys):
@@ -209,6 +227,15 @@ def test_importing_the_package_does_not_load_yaml():
     """Only `run` and `kernel` read YAML; the other subcommands skip its import."""
     code = "import sys, relaqm, relaqm.cli; sys.exit('yaml' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_importing_the_cli_skips_the_scenario_layers():
+    """`unistochastic` and `lattice-check` never load the scenario runner,
+    the measurement layer or the dynamics."""
+    code = ("import sys, relaqm.cli; sys.exit(' '.join(sorted({'relaqm.scenario', "
+            "'relaqm.measurement', 'relaqm.dynamics'} & set(sys.modules))) or None)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("argv", [

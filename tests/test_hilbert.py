@@ -14,6 +14,7 @@ from relaqm.hilbert import (
     conditional_state,
     haar_unitary,
     identity,
+    orthonormality_defect,
     projector_onto,
     random_state,
     sample_outcome,
@@ -21,6 +22,24 @@ from relaqm.hilbert import (
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def reference_orthonormality_defect(columns):
+    gram = columns.conj().T @ columns
+    return float(np.max(np.abs(gram - np.eye(columns.shape[1])), initial=0.0))
+
+
+def test_orthonormality_defect_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cases = [np.zeros((3, 0)), np.eye(3, dtype=int), np.ones((2, 2))]
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        rank = int(rng.integers(0, dim + 1))
+        cases += [rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)),
+                  haar_unitary(dim, rng)[:, :rank],
+                  rng.normal(size=(dim, rank))]
+    for columns in cases:
+        assert orthonormality_defect(columns) == reference_orthonormality_defect(columns)
 
 
 def test_state_vector_validates_norm_and_factors():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaqm.errors import (
     InvalidDimension,
@@ -9,7 +11,7 @@ from relaqm.errors import (
     TooLarge,
     ZeroBranch,
 )
-from relaqm.hilbert import basis_state, random_state
+from relaqm.hilbert import ATOL, basis_state, haar_unitary, orthonormality_defect, random_state
 from relaqm.questions import (
     AnswerString,
     CompleteFamily,
@@ -57,6 +59,94 @@ def test_join_of_independent_rays_is_full():
 
 def test_meet_of_orthogonal_rays_is_never():
     assert meet(ray(1, 0), ray(0, 1)).is_never
+
+
+def meet_by_double_complement(q1, q2):
+    """The intersection as ¬(¬q1 ∨ ¬q2): the oracle for the one-SVD meet."""
+    return negate(join(negate(q1), negate(q2)))
+
+
+def _rotated(columns: np.ndarray, rng) -> Question:
+    """The span of orthonormal ``columns``, with a random basis of it."""
+    if columns.shape[1] == 0:
+        return Question(columns)
+    return Question(columns @ haar_unitary(columns.shape[1], rng))
+
+
+def _sharing(u: np.ndarray, k: int, r1: int, r2: int, rng):
+    """Questions of ranks r1 and r2 whose intersection is the span of u[:, :k]."""
+    second = np.hstack([u[:, :k], u[:, r1:r1 + r2 - k]])
+    return _rotated(u[:, :r1], rng), _rotated(second, rng)
+
+
+@st.composite
+def meet_pairs(draw):
+    """(q1, q2, the rank of their intersection, a basis of it or None)."""
+    dim = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["trivial", "nested", "shared", "generic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = haar_unitary(dim, rng)
+    if kind == "trivial":  # one side rank 0 or full rank
+        edge = draw(st.sampled_from([0, dim]))
+        other = random_question(dim, draw(st.integers(0, dim)), rng)
+        pair = (Question(u[:, :edge]), other)
+        rank, inside = (other.rank, other.basis) if edge else (0, None)
+    elif kind == "nested":
+        big = draw(st.integers(0, dim))
+        small = draw(st.integers(0, big))
+        pair = (_rotated(u[:, :small], rng), _rotated(u[:, :big], rng))
+        rank, inside = small, u[:, :small]
+    elif kind == "shared":  # exactly k shared dimensions, for any possible k
+        k = draw(st.integers(0, dim))
+        r1 = draw(st.integers(k, dim))
+        r2 = draw(st.integers(k, dim - r1 + k))
+        pair = _sharing(u, k, r1, r2, rng)
+        rank, inside = k, u[:, :k]
+    else:
+        r1, r2 = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+        pair = (random_question(dim, r1, rng), random_question(dim, r2, rng))
+        rank, inside = max(0, r1 + r2 - dim), None
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    return pair + (rank, inside)
+
+
+@settings(max_examples=400, deadline=None)
+@given(meet_pairs())
+def test_meet_agrees_with_the_double_complement(case):
+    q1, q2, rank, inside = case
+    got, oracle = meet(q1, q2), meet_by_double_complement(q1, q2)
+    assert got.rank == oracle.rank == rank
+    assert same_question(got, oracle)
+    assert orthonormality_defect(got.basis) <= ATOL
+    if inside is not None:
+        assert same_question(got, Question(inside))
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_meet_finds_every_exact_intersection_dimension(dim):
+    """Every (k, r1, r2) with r1 + r2 - k <= dim, each on a random frame."""
+    rng = np.random.default_rng(dim)
+    for k in range(dim + 1):
+        for r1 in range(k, dim + 1):
+            for r2 in range(k, dim - r1 + k + 1):
+                u = haar_unitary(dim, rng)
+                q1, q2 = _sharing(u, k, r1, r2, rng)
+                got = meet(q1, q2)
+                assert got.rank == k
+                assert same_question(got, Question(u[:, :k]))
+                assert same_question(got, meet_by_double_complement(q1, q2))
+
+
+@pytest.mark.parametrize("angle, shared", [(1e-3, False), (1e-5, False), (1e-10, True)])
+def test_meet_of_nearly_equal_planes(angle, shared):
+    """Planes of C^3 tilted by a small angle meet in a line; whether they
+    share the plane is decided at the rank tolerance, as the oracle does."""
+    tilted = np.array([[1, 0], [0, np.cos(angle)], [0, np.sin(angle)]], dtype=complex)
+    q1, q2 = Question(np.eye(3)[:, :2]), Question(tilted)
+    got = meet(q1, q2)
+    assert got.rank == (2 if shared else 1)
+    assert same_question(got, meet_by_double_complement(q1, q2))
 
 
 def test_orthogonality():

@@ -158,10 +158,17 @@ def test_run_is_deterministic_and_matches_golden():
 
 
 def test_seed_override_wins_over_file_seed():
+    """run(sc, seed=s) reports what the same document with `seed: s` reports;
+    seeds 3 and 4 draw different outcomes for the friend's measurement."""
     sc = parse_scenario(WIGNER)
-    assert emit_report(run(sc, seed=3), "structured") != \
-        emit_report(run(sc, seed=4), "structured") or True
-    assert run(sc, seed=3).seed == 3
+    reports = {}
+    for seed in (3, 4):
+        overridden = run(sc, seed=seed)
+        from_file = run(parse_scenario(WIGNER.replace("seed: 7", f"seed: {seed}")))
+        assert overridden.seed == from_file.seed == seed
+        assert emit_report(overridden, "structured") == emit_report(from_file, "structured")
+        reports[seed] = overridden
+    assert reports[3].entries != reports[4].entries
     assert run(sc).seed == 7
 
 

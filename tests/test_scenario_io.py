@@ -5,6 +5,8 @@ library's one-buffer renderer and path-on-failure linter must agree with.
 """
 
 import copy
+import json
+import math
 
 import numpy as np
 import pytest
@@ -61,7 +63,7 @@ def reference_render(node, indent: int = 0) -> str:
         return format(x, ".12g")
     if node is None:
         return "null"
-    return '"' + str(node).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(node), ensure_ascii=False)
 
 
 def reference_lint(report: Report) -> list[str]:
@@ -86,7 +88,7 @@ def reference_lint(report: Report) -> list[str]:
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
-_TEXT = st.text(alphabet=st.sampled_from(list('ab "\\\n\té{}[],:')), max_size=6)
+_TEXT = st.text(alphabet=st.sampled_from(list('ab "\\\n\t\r\x00\x01\x1fé{}[],:')), max_size=6)
 _SCALARS = st.one_of(
     _FLOATS,
     st.sampled_from([0.0, -0.0, 1e-300, -2.5e-17, 1 / 3]),
@@ -120,13 +122,53 @@ _TREES = st.recursive(st.one_of(_SCALARS, _FLAT_ROWS), _containers, max_leaves=4
 @settings(deadline=None, max_examples=200)
 @given(_TREES)
 def test_renderer_matches_the_recursive_reference(tree):
-    assert _render_json(tree) == reference_render(tree)
+    text = _render_json(tree)
+    assert text == reference_render(tree)
+    try:
+        expected = json_value(tree)
+    except ValueError:  # not a tree a report can hold
+        return
+    assert json.loads(text) == expected
+
+
+def json_value(node):
+    """What ``json.loads`` should read back from the rendering of ``node``:
+    floats at 12 significant digits, tuples as lists.  ValueError for nan
+    and inf, which have no JSON form, and for keys the renderer writes as
+    they are, which are a report's field names and need no escaping."""
+    if isinstance(node, dict):
+        if any(json.dumps(key, ensure_ascii=False) != f'"{key}"' for key in node):
+            raise ValueError("a key that needs escaping")
+        return {key: json_value(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [json_value(value) for value in node]
+    if isinstance(node, np.bool_):
+        return str(node)  # not a bool or a number: rendered as a string
+    if isinstance(node, (float, np.floating)):
+        if not math.isfinite(node):
+            raise ValueError(f"{node} has no JSON form")
+        return float(format(float(node), ".12g"))
+    if isinstance(node, np.integer):
+        return int(node)
+    return node
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.text(), st.lists(st.text(st.characters(max_codepoint=0x7f)), max_size=20))
+def test_strings_read_back_unchanged(name, names):
+    """Any text, control characters included, is escaped so that JSON reads
+    it back as it was."""
+    tree = {"name": name, "names": names, "rows": [[name, 1.0]] * 2}
+    text = _render_json(tree)
+    assert text == reference_render(tree)
+    assert json.loads(text) == json_value(tree)
 
 
 @pytest.mark.parametrize("node", [
     [], (), {}, [[]], [[], []], {"a": {}}, [1.0] * 16, [1.0] * 17, [[0.0, -0.0]] * 3,
     [np.float64(-0.0), np.int64(3), np.bool_(True)], 'say "hi" \\ bye',
     [[1.0, 2.0], [np.float64(3.0), 4.0]], [[1.0], (2.0,)], [[1.0] * 17, [1.0]],
+    "tab\there\nline\r\x00\x01\x1f\x7f", {"key": ['"\\\b\f']},
 ])
 def test_renderer_edge_cases(node):
     assert _render_json(node) == reference_render(node)
@@ -184,6 +226,29 @@ def test_clean_reports_render_and_lint_as_the_references_do(text):
     tree = {"scenario": report.scenario, "seed": report.seed,
             "entries": report.entries, "violations": report.violations}
     assert emit_report(report, "structured") == reference_render(tree) + "\n"
+
+
+def _renamed(node, old: str, new: str):
+    if isinstance(node, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+def test_control_characters_in_names_give_a_json_report():
+    """A scenario and a system named with a tab, a newline and U+0001 give a
+    structured report that parses as JSON, with the names unchanged."""
+    scenario_name, system_name = "wigner\tfriend\n\x01", "S\t\n\x01"
+    doc = _renamed(parse_yaml(WIGNER.read_text()), "S", system_name)
+    doc["name"] = scenario_name
+    report = run(parse_scenario(yaml.safe_dump(doc)))
+    loaded = json.loads(emit_report(report, "structured"))
+    golden = json.loads(fixture_path("wigner_friend.report.json").read_text())
+    expected = _renamed(_renamed(golden, "S", system_name), "wigner_friend", scenario_name)
+    assert loaded == expected
+    assert loaded["scenario"] == scenario_name
+    assert loaded["entries"][0]["target"] == system_name
 
 
 _PAYLOADS = st.fixed_dictionaries(
