@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    from .scenario import parse_families, parse_yaml, resolve_family
+    from .scenario import _MAX_AMPLITUDES, parse_families, parse_yaml, resolve_family
 
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse_yaml(fh.read())
@@ -117,6 +117,9 @@ def _cmd_kernel(args) -> int:
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"kernel file: dim must be a positive integer, got {dim!r}")
+    if dim * dim > _MAX_AMPLITUDES:
+        raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
+                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
     declared = parse_families(doc.get("families"))
     pairs = doc.get("pairs") or [["computational", "fourier"]]
     if not isinstance(pairs, list) or not all(

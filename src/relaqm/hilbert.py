@@ -207,6 +207,20 @@ def apply(op: Operator, s: StateVector) -> StateVector:
     return StateVector(out, s.dim_factors, s.relative_to, require_normalized=False)
 
 
+def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
+                      positions: tuple[int, ...], op: np.ndarray) -> np.ndarray:
+    """Apply an operator to selected tensor factors (identity elsewhere)."""
+    n = len(dims)
+    tensor = amps.reshape(dims)
+    order = list(positions) + [ax for ax in range(n) if ax not in positions]
+    tensor = np.transpose(tensor, order)
+    head = math.prod(dims[p] for p in positions)
+    moved = tensor.reshape(head, -1)
+    moved = op @ moved
+    tensor = moved.reshape([dims[ax] for ax in order])
+    return np.transpose(tensor, np.argsort(order)).reshape(-1)
+
+
 def _check_partition(partition: list[Operator] | tuple[Operator, ...], dim: int) -> None:
     total = np.zeros((dim, dim), dtype=complex)
     for i, p in enumerate(partition):

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import (
-    ATOL,
-    Operator,
-    StateVector,
-    basis_state,
-    orthonormality_defect,
-    sample_index,
-)
+from .hilbert import Operator, StateVector, _apply_on_factors, basis_state, sample_index
 from .questions import CompleteFamily
 
 __all__ = [
@@ -45,34 +38,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSetup:
-    """System eigenbasis plus the pointer states that will record the outcome.
+    """System eigenbasis plus the pointer's pre-measurement state.
 
-    ``pointer_marks[i]`` is the pointer state meaning "the hand points at
-    mark i"; ``pointer_ready`` is the pre-measurement pointer state.  Marks
-    must be pairwise orthonormal and there must be one per system basis
-    vector, so the pointer space can be larger than the system space but not
-    smaller.
+    Outcome i is recorded as the pointer's i-th computational basis state
+    |i> ("the hand points at mark i"); ``pointer_ready`` is the state the
+    pointer starts in.  There must be a mark per system basis vector, so the
+    pointer space can be larger than the system space but not smaller.
     """
 
     system_basis: CompleteFamily
     pointer_ready: StateVector
-    pointer_marks: tuple[StateVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pointer_marks", tuple(self.pointer_marks))
-        marks = self.pointer_marks
-        if len(marks) != self.system_basis.dim:
+        if self.pointer_dim < self.system_dim:
             raise ValueError(
-                f"{len(marks)} pointer marks for a dim-{self.system_basis.dim} system")
-        pointer_dim = self.pointer_ready.dim
-        if pointer_dim < self.system_basis.dim:
-            raise ValueError(
-                f"pointer dim {pointer_dim} smaller than system dim {self.system_basis.dim}")
-        mark_matrix = self.mark_matrix()
-        if mark_matrix.shape[0] != pointer_dim:
-            raise DimensionMismatch("pointer marks and ready state have different dims")
-        if orthonormality_defect(mark_matrix) > ATOL:
-            raise ValueError("pointer marks are not pairwise orthonormal")
+                f"pointer dim {self.pointer_dim} smaller than system dim {self.system_dim}")
 
     @property
     def system_dim(self) -> int:
@@ -86,32 +66,48 @@ class MeasurementSetup:
     def total_dim(self) -> int:
         return self.system_dim * self.pointer_dim
 
-    def mark_matrix(self) -> np.ndarray:
-        return np.column_stack([m.amplitudes for m in self.pointer_marks])
-
 
 def standard_setup(system_dim: int, pointer_dim: int | None = None,
                    system_basis: CompleteFamily | None = None,
                    tag: str = "setup") -> MeasurementSetup:
-    """Computational-basis setup: ready state e_0, marks e_0..e_{d-1}.
-
-    The mark phases are a modeling choice; computational basis states are
-    used throughout the package.
-    """
+    """Computational-basis setup with the pointer ready in |0>."""
     pointer_dim = pointer_dim or system_dim
-    if pointer_dim < system_dim:
-        raise ValueError(
-            f"pointer dim {pointer_dim} smaller than system dim {system_dim}")
     basis = system_basis or CompleteFamily.computational(system_dim)
-    marks = tuple(basis_state(pointer_dim, i, tag) for i in range(system_dim))
-    return MeasurementSetup(basis, basis_state(pointer_dim, 0, tag), marks)
+    return MeasurementSetup(basis, basis_state(pointer_dim, 0, tag))
 
 
-def _system_amplitudes(setup: MeasurementSetup, psi: StateVector) -> np.ndarray:
-    if psi.dim != setup.system_dim:
-        raise DimensionMismatch(
-            f"state dim {psi.dim} but the measured system has dim {setup.system_dim}")
-    return setup.system_basis.basis.conj().T @ psi.amplitudes
+def _born_weights(amps: np.ndarray, dims: tuple[int, ...], pos: int,
+                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Born weights of the family ``basis`` (columns) on factor ``pos`` of a
+    state over factors ``dims``, and the state as a tensor whose ``pos`` axis
+    is in that basis.  The scenario runner measures its accounts with this
+    helper, :func:`_collapse` and :func:`_completion`, as the functions below
+    measure a system or a system-pointer pair."""
+    rotated = _apply_on_factors(amps, dims, (pos,), basis.conj().T)
+    tensor = rotated.reshape(dims)
+    other = tuple(ax for ax in range(len(dims)) if ax != pos)
+    return (np.abs(tensor) ** 2).sum(axis=other), tensor
+
+
+def _collapse(tensor: np.ndarray, dims: tuple[int, ...], pos: int, outcome: int,
+              basis: np.ndarray) -> np.ndarray:
+    """The normalised state after outcome ``outcome`` on factor ``pos``, from
+    the tensor :func:`_born_weights` returns."""
+    mask = np.zeros(dims[pos])
+    mask[outcome] = 1.0
+    shape = [1] * len(dims)
+    shape[pos] = dims[pos]
+    collapsed = _apply_on_factors((tensor * mask.reshape(shape)).reshape(-1), dims,
+                                  (pos,), basis)
+    return collapsed / np.linalg.norm(collapsed)
+
+
+def _completion(tensor: np.ndarray, system_pos: int, pointer_pos: int) -> float:
+    """min(<psi|M|psi>, 1) for M = sum_i |b_i><b_i| ⊗ |i><i| on system and pointer:
+    the weight on the two axes' diagonal of the tensor :func:`_born_weights`
+    returns, which holds every mark since the pointer is no smaller."""
+    diagonal = np.diagonal(tensor, axis1=system_pos, axis2=pointer_pos)
+    return min(float(np.sum(np.abs(diagonal) ** 2)), 1.0)
 
 
 def collapse_description(setup: MeasurementSetup, psi: StateVector,
@@ -122,25 +118,29 @@ def collapse_description(setup: MeasurementSetup, psi: StateVector,
     where the value is the 1-based basis index and the post state is the
     corresponding eigenvector, tagged like the input.
     """
-    coeffs = _system_amplitudes(setup, psi)
-    probs = np.abs(coeffs) ** 2
+    if psi.dim != setup.system_dim:
+        raise DimensionMismatch(
+            f"state dim {psi.dim} but the measured system has dim {setup.system_dim}")
+    probs, _ = _born_weights(psi.amplitudes, (psi.dim,), 0, setup.system_basis.basis)
     i = sample_index(probs, np.random.default_rng(outcome_seed))
     post = StateVector(setup.system_basis.column(i), psi.dim_factors, psi.relative_to)
     return i + 1, post
 
 
 def entangling_description(setup: MeasurementSetup, psi: StateVector) -> StateVector:
-    """The account relative to an external observer: sum_i a_i |i>|mark_i>.
+    """The account relative to an external observer: sum_i a_i |b_i>|i>.
 
     Deterministic, and equal to the premeasurement unitary applied to
     psi ⊗ ready.
     """
-    coeffs = _system_amplitudes(setup, psi)
-    out = np.zeros(setup.total_dim, dtype=complex)
-    for i, a in enumerate(coeffs):
-        out += a * np.kron(setup.system_basis.column(i),
-                           setup.pointer_marks[i].amplitudes)
-    return StateVector(out, (setup.system_dim, setup.pointer_dim), psi.relative_to)
+    if psi.dim != setup.system_dim:
+        raise DimensionMismatch(
+            f"state dim {psi.dim} but the measured system has dim {setup.system_dim}")
+    _, coeffs = _born_weights(psi.amplitudes, (psi.dim,), 0, setup.system_basis.basis)
+    out = np.zeros((setup.system_dim, setup.pointer_dim), dtype=complex)
+    out[:, :setup.system_dim] = setup.system_basis.basis * coeffs
+    return StateVector(out.reshape(-1), (setup.system_dim, setup.pointer_dim),
+                       psi.relative_to)
 
 
 def _extend_to_basis(columns: np.ndarray) -> np.ndarray:
@@ -171,20 +171,20 @@ def _extend_to_basis(columns: np.ndarray) -> np.ndarray:
 
 
 def premeasurement_unitary(setup: MeasurementSetup) -> Operator:
-    """The interaction unitary mapping |i> ⊗ ready to |i> ⊗ mark_i.
+    """The interaction unitary mapping |b_i> ⊗ ready to |b_i> ⊗ |i>.
 
     Only the action on the physical subspace span{|i> ⊗ ready} is fixed;
     both domain and image are extended to full bases by deterministic
     Gram-Schmidt sweeps and paired in order.
     """
     d_s, d_o = setup.system_dim, setup.pointer_dim
+    marks = np.eye(d_o, dtype=complex)
     domain = np.column_stack([
         np.kron(setup.system_basis.column(i), setup.pointer_ready.amplitudes)
         for i in range(d_s)
     ])
     image = np.column_stack([
-        np.kron(setup.system_basis.column(i), setup.pointer_marks[i].amplitudes)
-        for i in range(d_s)
+        np.kron(setup.system_basis.column(i), marks[i]) for i in range(d_s)
     ])
     domain_full = _extend_to_basis(domain)
     image_full = _extend_to_basis(image)
@@ -195,15 +195,16 @@ def premeasurement_unitary(setup: MeasurementSetup) -> Operator:
 def correlation_operator(setup: MeasurementSetup) -> Operator:
     """The projector asking "is the pointer correctly correlated with q?".
 
-    M = sum_i |i><i| ⊗ |mark_i><mark_i|; eigenvalue 1 exactly on correctly
-    correlated states, 0 on misprinted ones.
+    M = sum_i |b_i><b_i| ⊗ |i><i|, built densely; eigenvalue 1 exactly on
+    correctly correlated states, 0 on misprinted ones.
+    :func:`completion_probability` reads <M> without building it.
     """
     d_s, d_o = setup.system_dim, setup.pointer_dim
     m = np.zeros((d_s * d_o, d_s * d_o), dtype=complex)
     for i in range(d_s):
         col = setup.system_basis.column(i)
-        mark = setup.pointer_marks[i].amplitudes
-        m += np.kron(np.outer(col, col.conj()), np.outer(mark, mark.conj()))
+        mark = np.eye(d_o)[i]
+        m += np.kron(np.outer(col, col.conj()), np.outer(mark, mark))
     return Operator(m, (d_s, d_o))
 
 
@@ -218,9 +219,9 @@ def completion_probability(state: StateVector, setup: MeasurementSetup) -> float
     if state.dim != setup.total_dim:
         raise DimensionMismatch(
             f"state dim {state.dim}, setup needs {setup.total_dim}")
-    m = correlation_operator(setup)
-    value = float(np.linalg.norm(m.matrix @ state.amplitudes) ** 2)
-    return min(value, 1.0)
+    _, tensor = _born_weights(state.amplitudes, (setup.system_dim, setup.pointer_dim), 0,
+                              setup.system_basis.basis)
+    return _completion(tensor, 0, 1)
 
 
 def consistency_check(state: StateVector, setup: MeasurementSetup,
@@ -236,24 +237,20 @@ def consistency_check(state: StateVector, setup: MeasurementSetup,
         raise DimensionMismatch(
             f"state dim {state.dim}, setup needs {setup.total_dim}")
     rng = np.random.default_rng(seed)
-    d_s, d_o = setup.system_dim, setup.pointer_dim
-    amps = state.amplitudes.reshape(d_s, d_o)
+    dims = (setup.system_dim, setup.pointer_dim)
+    basis = setup.system_basis.basis
 
-    # q measurement: project onto system eigenvectors
-    sys_coeffs = setup.system_basis.basis.conj().T @ amps  # rows: outcome i
-    q_probs = np.sum(np.abs(sys_coeffs) ** 2, axis=1)
+    # q measurement: Born weights on the system, then collapse
+    q_probs, tensor = _born_weights(state.amplitudes, dims, 0, basis)
     q_out = sample_index(q_probs, rng)
-    collapsed = np.outer(setup.system_basis.column(q_out), sys_coeffs[q_out])
-    collapsed /= np.linalg.norm(collapsed)
+    collapsed = _collapse(tensor, dims, 0, q_out, basis).reshape(dims)
 
-    # pointer measurement on the collapsed state; a residual bucket covers
-    # pointer components outside the marks when the pointer space is larger
-    mark_matrix = setup.mark_matrix()
-    pointer_coeffs = collapsed @ np.conj(mark_matrix)  # (d_s, n_marks)
-    pointer_probs = np.sum(np.abs(pointer_coeffs) ** 2, axis=0)
+    # pointer measurement on the collapsed state, marks |0>..|d_s - 1>; a
+    # residual bucket covers the pointer states past the marks
+    pointer_probs = np.sum(np.abs(collapsed[:, :setup.system_dim]) ** 2, axis=0)
     residual = max(1.0 - float(pointer_probs.sum()), 0.0)
     pointer_out = sample_index(np.append(pointer_probs, residual), rng)
-    on_mark = pointer_out < len(setup.pointer_marks)
+    on_mark = pointer_out < setup.system_dim
 
     agree = bool(on_mark and pointer_out == q_out)
     transcript = {

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -41,14 +41,15 @@ from .errors import (
 )
 from .dynamics import propagator
 from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
-                      orthonormality_defect, sample_index)
+                      _apply_on_factors, orthonormality_defect, sample_index)
 from .kernels import (
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
     verify_double_stochastic,
 )
-from .measurement import premeasurement_unitary, standard_setup
+from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
+                          premeasurement_unitary)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -68,6 +69,11 @@ __all__ = [
     "parse_families",
     "resolve_family",
 ]
+
+# The most amplitudes a document may ask for: all observers' accounts
+# together in a scenario, one family in a kernel request.  2**26 complex128
+# values are 1 GiB; larger documents are refused before anything is allocated.
+_MAX_AMPLITUDES = 2**26
 
 _BUILTIN_HAMILTONIANS = {
     "pauli_x": PAULI_X,
@@ -421,6 +427,13 @@ def parse_scenario(text: str) -> Scenario:
         if obs in raw_observers[:n]:
             raise ValidationError("DuplicateObserver", f"observer {obs!r} listed twice")
     observers = tuple(raw_observers)
+    total = math.prod(dims.values())
+    amplitudes = sum(total // dims[obs] for obs in observers)
+    if amplitudes > _MAX_AMPLITUDES:
+        raise ValidationError(
+            "TooLarge",
+            f"the observers' accounts would hold {amplitudes} amplitudes, more than "
+            f"the {_MAX_AMPLITUDES} allowed")
 
     families = parse_families(doc.get("families"))
 
@@ -508,20 +521,6 @@ class _Account:
             self.blocks[name] = joined
 
 
-def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
-                      positions: tuple[int, ...], op: np.ndarray) -> np.ndarray:
-    """Apply an operator to selected tensor factors (identity elsewhere)."""
-    n = len(dims)
-    tensor = amps.reshape(dims)
-    order = list(positions) + [ax for ax in range(n) if ax not in positions]
-    tensor = np.transpose(tensor, order)
-    head = math.prod(dims[p] for p in positions)
-    moved = tensor.reshape(head, -1)
-    moved = op @ moved
-    tensor = moved.reshape([dims[ax] for ax in order])
-    return np.transpose(tensor, np.argsort(order)).reshape(-1)
-
-
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real nonnegative (global phase fix)."""
     # not kernels.phase_fix, which gauges a unitary's row and column phases on its first row/column
@@ -574,30 +573,6 @@ def _state_payload(amps: np.ndarray, systems, relative_to: str) -> dict:
     }
 
 
-def _marginal(account: _Account, target: str, family: CompleteFamily):
-    """Born weights of the family's outcomes on the target, and the account as
-    a tensor whose target axis is in the family's basis."""
-    pos = account.position(target)
-    rotated = _apply_on_factors(account.amps, account.dims, (pos,),
-                                family.basis.conj().T)
-    tensor = rotated.reshape(account.dims)
-    other = tuple(ax for ax in range(len(account.dims)) if ax != pos)
-    return (np.abs(tensor) ** 2).sum(axis=other), tensor
-
-
-def _completion(account: _Account, system: str, pointer: str, tensor: np.ndarray) -> float:
-    """min(<psi|M|psi>, 1) for M = sum_i |b_i><b_i| ⊗ |i><i| on system and pointer.
-
-    ``tensor`` is the account with the system's axis in the family basis b, as
-    :func:`_marginal` returns it, so <M> is the weight on its diagonal over the
-    two axes.  The pointer is at least as large as the system
-    (``PointerTooSmall``), so the diagonal holds every mark.
-    """
-    diagonal = np.diagonal(tensor, axis1=account.position(system),
-                           axis2=account.position(pointer))
-    return min(float(np.sum(np.abs(diagonal) ** 2)), 1.0)
-
-
 def _require_active(account: _Account, context: str) -> None:
     if account.broken is not None:
         raise DescriptionUnavailable(
@@ -612,16 +587,9 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
     # collapse description, relative to the measuring observer
     pos = measurer.position(ev.target)
-    probs, tensor = _marginal(measurer, ev.target, ev.family)
+    probs, tensor = _born_weights(measurer.amps, measurer.dims, pos, ev.family.basis)
     outcome = sample_index(probs, rng)
-    mask = np.zeros(measurer.dims[pos])
-    mask[outcome] = 1.0
-    shape = [1] * len(measurer.dims)
-    shape[pos] = measurer.dims[pos]
-    tensor = tensor * mask.reshape(shape)
-    collapsed = _apply_on_factors(tensor.reshape(-1), measurer.dims, (pos,),
-                                  ev.family.basis)
-    measurer.amps = collapsed / np.linalg.norm(collapsed)
+    measurer.amps = _collapse(tensor, measurer.dims, pos, outcome, ev.family.basis)
 
     entry = {
         "event": idx,
@@ -642,9 +610,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
     # entangling description, relative to every non-participating observer;
     # the measurer's prepared state is the pointer's ready state
     ready = sc.preparations[ev.observer]
-    setup = replace(
-        standard_setup(ev.family.dim, ready.size, ev.family, tag=ev.observer),
-        pointer_ready=StateVector(ready, (ready.size,), ev.observer))
+    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
     u_pre = premeasurement_unitary(setup).matrix
     for obs in sc.observers:
         if obs in (ev.observer, ev.target):
@@ -652,15 +618,16 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         account = accounts[obs]
         if account.broken is not None:
             continue
-        account.apply_on((account.position(ev.target), account.position(ev.observer)),
-                         u_pre)
-        q_marginal, tensor = _marginal(account, ev.target, ev.family)
+        target, pointer = account.position(ev.target), account.position(ev.observer)
+        account.apply_on((target, pointer), u_pre)
+        q_marginal, tensor = _born_weights(account.amps, account.dims, target,
+                                           ev.family.basis)
         cluster_names, cluster_amps = _minimal_cluster(
             account, (ev.target, ev.observer))
         entry["entangled"].append({
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),
-            "completion_probability": _completion(account, ev.target, ev.observer, tensor),
+            "completion_probability": _completion(tensor, target, pointer),
             "q_marginal": q_marginal.tolist(),
             "marginal_agreement": float(np.max(np.abs(q_marginal - probs))),
         })
@@ -709,7 +676,9 @@ def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
                              f"smallest factoring group is {list(names)}")
         entry["state"] = _state_payload(amps, names, params["relative_to"])
     elif ev.kind == "marginal":
-        probs, _ = _marginal(account, params["target"], params["family"])
+        probs, _ = _born_weights(account.amps, account.dims,
+                                 account.position(params["target"]),
+                                 params["family"].basis)
         entry.update({
             "target": params["target"],
             "family": params["family"].label,
@@ -717,8 +686,10 @@ def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
             "probabilities": probs.tolist(),
         })
     elif ev.kind == "completion":
-        _, tensor = _marginal(account, params["system"], params["family"])
-        value = _completion(account, params["system"], params["pointer"], tensor)
+        system = account.position(params["system"])
+        _, tensor = _born_weights(account.amps, account.dims, system,
+                                  params["family"].basis)
+        value = _completion(tensor, system, account.position(params["pointer"]))
         entry.update({
             "system": params["system"],
             "pointer": params["pointer"],
@@ -918,7 +889,7 @@ def _scalar_text(node) -> str:
         return _string_text(node)
     if kind is int:
         return str(node)
-    if isinstance(node, bool):
+    if isinstance(node, (bool, np.bool_)):
         return "true" if node else "false"
     if isinstance(node, (int, np.integer)):
         return str(int(node))

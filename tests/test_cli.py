@@ -170,6 +170,7 @@ REJECTED_INPUTS = {
     "kernel_non_square_family": ("kernel", "dim: 2\nfamilies: {wide: [[1, 0, 0], [0, 1, 0]]}\n"),
     "kernel_one_name_pair": ("kernel", "dim: 2\npairs: [[computational]]\n"),
     "kernel_dim_not_integer": ("kernel", "dim: two\n"),
+    "kernel_dim_too_large": ("kernel", "dim: 2147483647\n"),
     "system_name_not_string": ("run", "systems: [{name: [S], dim: 2}]\nobservers: [S]\n"
                                       "preparations: {}\n"),
     "observer_name_not_string": ("run", _scenario().replace("observers: [O, P]",
@@ -221,6 +222,22 @@ def test_malformed_input_exits_2_without_libyaml(tmp_path, capsys, monkeypatch,
     where PyYAML was built without libyaml."""
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     _assert_rejected(tmp_path, capsys, command, text)
+
+
+def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):
+    """34 qubits, two observers: refused with TooLarge before a run starts."""
+    names = [f"Q{i}" for i in range(34)]
+    doc = tmp_path / "large.yaml"
+    doc.write_text("systems: [" + ", ".join(f"{{name: {q}, dim: 2}}" for q in names) + "]\n"
+                   "observers: [Q0, Q1]\n"
+                   "preparations: {" + ", ".join(f"{q}: [1.0, 0.0]" for q in names) + "}\n")
+
+    def refuse(*args, **kwargs):  # a run would allocate 2 * 2**33 amplitudes
+        raise AssertionError("the scenario reached the runner")
+
+    monkeypatch.setattr(scenario, "run", refuse)
+    assert main(["run", str(doc)]) == 2
+    assert "error: TooLarge" in capsys.readouterr().err
 
 
 def test_importing_the_package_does_not_load_yaml():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaqm.errors import DimensionMismatch
 from relaqm.hilbert import (
@@ -33,22 +35,16 @@ def qubit_pair_setup():
 
 
 def correlated_state(coeffs, setup, tag="P"):
-    """sum_i coeffs[i] |i> x |mark_i| built by hand, independent of the library path."""
+    """sum_i coeffs[i] |b_i> x |i> built by hand, independent of the library path."""
     out = np.zeros(setup.total_dim, dtype=complex)
     for i, a in enumerate(coeffs):
-        out += a * np.kron(setup.system_basis.column(i),
-                           setup.pointer_marks[i].amplitudes)
+        out += a * np.kron(setup.system_basis.column(i), np.eye(setup.pointer_dim)[i])
     return StateVector(out, (setup.system_dim, setup.pointer_dim), tag)
 
 
 def test_setup_validation():
-    basis = CompleteFamily.computational(2)
-    ready = basis_state(2, 0, "O")
-    with pytest.raises(ValueError, match="marks"):
-        MeasurementSetup(basis, ready, (basis_state(2, 0, "O"),))
-    same_mark = (basis_state(2, 0, "O"), basis_state(2, 0, "O"))
-    with pytest.raises(ValueError, match="orthonormal"):
-        MeasurementSetup(basis, ready, same_mark)
+    with pytest.raises(ValueError, match="pointer dim 2 smaller than system dim 3"):
+        MeasurementSetup(CompleteFamily.computational(3), basis_state(2, 0, "O"))
     with pytest.raises(ValueError, match="pointer dim"):
         standard_setup(3, 2)
 
@@ -112,7 +108,7 @@ def test_premeasurement_unitary_defining_columns():
     # |i> x |ready| -> |i> x |mark_i|: columns 0 and 2 of a CNOT-like map
     for i in range(2):
         domain = np.kron(np.eye(2)[:, i], setup.pointer_ready.amplitudes)
-        image = np.kron(np.eye(2)[:, i], setup.pointer_marks[i].amplitudes)
+        image = np.kron(np.eye(2)[:, i], np.eye(2)[i])
         np.testing.assert_allclose(u.matrix @ domain, image, atol=1e-12)
 
 
@@ -128,8 +124,7 @@ def test_premeasurement_is_isometry_on_ready_subspace():
         for i in range(d_s):
             domain = np.kron(setup.system_basis.column(i),
                              setup.pointer_ready.amplitudes)
-            image = np.kron(setup.system_basis.column(i),
-                            setup.pointer_marks[i].amplitudes)
+            image = np.kron(setup.system_basis.column(i), np.eye(d_o)[i])
             np.testing.assert_allclose(u.matrix @ domain, image, atol=1e-9)
 
 
@@ -197,6 +192,43 @@ def test_completion_probability_bounds_and_eigenstate_condition():
         assert 0.0 <= value <= 1.0
         fixed = np.max(np.abs(m @ s.amplitudes - s.amplitudes)) < 1e-9
         assert (abs(value - 1.0) < 1e-9) == fixed
+
+
+@st.composite
+def two_factor_states(draw):
+    """A setup with d_s 2-4, d_o >= d_s and a builtin or Haar family, and a
+    joint state: random, correlated, misprinted (outcome i recorded as mark
+    i + 1 mod d_s) or a correlated state partly mixed with a random one."""
+    d_s = draw(st.integers(2, 4))
+    d_o = draw(st.integers(d_s, d_s + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["computational", "fourier", "haar"]
+                                  + ["hadamard"] * (d_s == 2)))
+    basis = {"computational": lambda: CompleteFamily.computational(d_s),
+             "fourier": lambda: CompleteFamily.fourier(d_s),
+             "hadamard": CompleteFamily.hadamard,
+             "haar": lambda: CompleteFamily(haar_unitary(d_s, rng), "haar")}[family]()
+    setup = standard_setup(d_s, d_o, system_basis=basis)
+    coeffs = random_state(d_s, rng)
+    kind = draw(st.sampled_from(["random", "correlated", "misprinted", "partial"]))
+    marks = np.eye(d_o)
+    shift = 1 if kind == "misprinted" else 0
+    amps = sum(a * np.kron(basis.column(i), marks[(i + shift) % d_s])
+               for i, a in enumerate(coeffs))
+    if kind in ("random", "partial"):
+        weight = 1.0 if kind == "random" else draw(st.floats(0.0, 1.0))
+        amps = (1 - weight) * amps + weight * random_state(d_s * d_o, rng)
+    return setup, StateVector(amps / np.linalg.norm(amps), (d_s, d_o), "P")
+
+
+@settings(deadline=None, max_examples=300)
+@given(two_factor_states())
+def test_completion_probability_matches_the_correlation_operator(case):
+    """completion_probability equals min(<psi|M|psi>, 1) for the dense M."""
+    setup, state = case
+    m = correlation_operator(setup).matrix
+    expected = min(float(np.vdot(state.amplitudes, m @ state.amplitudes).real), 1.0)
+    assert abs(completion_probability(state, setup) - expected) <= 1e-12
 
 
 def test_completion_probability_dimension_check():

@@ -14,7 +14,8 @@ from relaqm.errors import (
     ValidationError,
 )
 from relaqm import scenario as scenario_module
-from relaqm.measurement import correlation_operator, standard_setup
+from relaqm.hilbert import _apply_on_factors
+from relaqm.measurement import _born_weights, _completion, correlation_operator, standard_setup
 from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
     MeasureEvent,
@@ -106,6 +107,27 @@ def test_self_description_query_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
     assert err.value.rule == "SelfDescription"
+
+
+def many_qubits(n: int, observers: int) -> str:
+    """A valid document of n qubits in |0>, the first ``observers`` of them observers."""
+    names = [f"Q{i}" for i in range(n)]
+    return ("systems: [" + ", ".join(f"{{name: {q}, dim: 2}}" for q in names) + "]\n"
+            f"observers: [{', '.join(names[:observers])}]\n"
+            "preparations: {" + ", ".join(f"{q}: [1.0, 0.0]" for q in names) + "}\n")
+
+
+def test_scenario_too_large_to_hold_is_refused_at_parse_time():
+    """The accounts hold sum over observers of prod dims(others) amplitudes,
+    at most 2**26.  Only parsed: a run of these would allocate the accounts."""
+    with pytest.raises(ValidationError, match="TooLarge"):
+        parse_scenario(many_qubits(34, 2))  # 2 * 2**33
+    parse_scenario(many_qubits(27, 1))  # 2**26: the limit itself
+    parse_scenario(many_qubits(26, 2))  # 2 * 2**25
+    with pytest.raises(ValidationError, match="TooLarge"):
+        parse_scenario(many_qubits(28, 1))
+    with pytest.raises(ValidationError, match="TooLarge"):
+        parse_scenario(many_qubits(27, 2))
 
 
 def test_malformed_document_is_parse_error():
@@ -411,11 +433,10 @@ def test_completion_matches_the_correlation_operator(case):
     account, system, pointer, family = case
     s, p = account.position(system), account.position(pointer)
     m_op = correlation_operator(standard_setup(account.dims[s], account.dims[p], family))
-    joint = scenario_module._apply_on_factors(account.amps, account.dims, (s, p),
-                                              m_op.matrix)
+    joint = _apply_on_factors(account.amps, account.dims, (s, p), m_op.matrix)
     expected = min(float(np.linalg.norm(joint)) ** 2, 1.0)
-    _, tensor = scenario_module._marginal(account, system, family)
-    value = scenario_module._completion(account, system, pointer, tensor)
+    _, tensor = _born_weights(account.amps, account.dims, s, family.basis)
+    value = _completion(tensor, s, p)
     assert abs(value - expected) <= 1e-12
 
 

@@ -4,14 +4,16 @@ The recursive renderer and linter below are the reference implementations the
 library's one-buffer renderer and path-on-failure linter must agree with.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaqm.cli import main
@@ -52,7 +54,7 @@ def reference_render(node, indent: int = 0) -> str:
             return "[" + ", ".join(reference_render(v) for v in node) + "]"
         rows = [f"{pad}  {reference_render(v, indent + 1)}" for v in node]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(node, bool):
+    if isinstance(node, (bool, np.bool_)):
         return "true" if node else "false"
     if isinstance(node, (int, np.integer)):
         return str(int(node))
@@ -143,7 +145,7 @@ def json_value(node):
     if isinstance(node, (list, tuple)):
         return [json_value(value) for value in node]
     if isinstance(node, np.bool_):
-        return str(node)  # not a bool or a number: rendered as a string
+        return bool(node)
     if isinstance(node, (float, np.floating)):
         if not math.isfinite(node):
             raise ValueError(f"{node} has no JSON form")
@@ -372,3 +374,109 @@ def test_fixtures_give_the_same_outcome_without_libyaml(monkeypatch, name):
     with_libyaml = _outcome(text)
     monkeypatch.delattr(yaml, "CSafeLoader")
     assert _outcome(text) == with_libyaml
+
+
+# ---------------------------------------------------------------------------
+# input boundary: arbitrary trees in a valid document
+
+_H = 0.7071067811865476
+_SCENARIO_SKELETON = {
+    "name": "fuzz",
+    "seed": 3,
+    "systems": [{"name": "S", "dim": 2}, {"name": "O", "dim": 2}, {"name": "P", "dim": 2}],
+    "observers": ["O", "P"],
+    "families": {"h": [[_H, _H], [_H, -_H]]},
+    "preparations": {"S": [[_H, 0.0], [0.0, _H]], "O": [1.0, 0.0], "P": [[1.0, 0.0], 0.0]},
+    "events": [
+        {"measure": {"observer": "O", "target": "S", "family": "h"}},
+        {"evolve": {"target": "S", "hamiltonian": "pauli_x", "t": 0.5}},
+        {"evolve": {"target": "O", "hamiltonian": [[1, [0, 1]], [[0, -1], -1]], "t": 2}},
+        {"query": {"kind": "state", "of": ["S", "O"], "relative_to": "P"}},
+        {"query": {"kind": "marginal", "target": "S", "family": "hadamard",
+                   "relative_to": "P"}},
+        {"query": {"kind": "completion", "system": "S", "pointer": "O",
+                   "family": "h", "relative_to": "P"}},
+        {"query": {"kind": "kernel", "target": "S", "family_a": "h", "family_b": "fourier"}},
+        {"query": {"kind": "interference", "target": "S", "family_a": "computational",
+                   "family_b": "h", "i": 1, "j": 1, "k": 2}},
+        {"measure": {"observer": "P", "target": "O"}},
+    ],
+}
+_KERNEL_SKELETON = {
+    "dim": 2,
+    "families": {"h": [[_H, _H], [_H, -_H]]},
+    "pairs": [["computational", "h"], ["h", "fourier"]],
+}
+# Integers are small or far past any size a run could allocate: a dimension
+# of 2**31 - 1 fails at once, one of 10**4 would take gigabytes.
+_FUZZ_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-3, 8),
+    st.sampled_from([2**31 - 1, 2**63, 10**30, -10**30]),
+    st.sampled_from(["", "S", "O", "P", "h", "computational", "hadamard", "fourier",
+                     "pauli_x", "state", "completion", "kernel", "measure", "query"]),
+    st.text(max_size=3),
+)
+_FUZZ_KEYS = st.one_of(st.sampled_from(["name", "dim", "kind", "target", "of", "t"]),
+                       st.text(max_size=3), st.integers(-2, 2), st.booleans())
+_FUZZ_TREES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_FUZZ_KEYS, children, max_size=3)),
+    max_leaves=10)
+
+
+def _places(node, path=()):
+    """Every (path, key) in a tree at which a value can be put."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return []
+    places = [(path, key) for key in keys]
+    for key in keys:
+        places += _places(node[key], path + (key,))
+    return places
+
+
+@st.composite
+def _grafted(draw, skeleton):
+    """The skeleton as YAML, with one value replaced by a tree or one tree
+    added under a new key."""
+    doc = copy.deepcopy(skeleton)
+    path, key = draw(st.sampled_from(_places(doc)))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        key = draw(_FUZZ_KEYS)
+    parent[key] = draw(_FUZZ_TREES)
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def _cli_exit(command: str, text: str, tmp_path) -> int:
+    doc = tmp_path / "fuzz.yaml"
+    doc.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([command, str(doc)])
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grafted(_SCENARIO_SKELETON))
+def test_arbitrary_trees_in_a_scenario_end_in_a_named_error(tmp_path, text):
+    """Only a RelaqmError escapes parse and run; `relaqm run` exits 0, 2 or 3."""
+    try:
+        report = run(parse_scenario(text))
+        emit_report(report, "table")
+        emit_report(report, "structured")
+    except RelaqmError:
+        pass
+    assert _cli_exit("run", text, tmp_path) in (0, 2, 3)
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grafted(_KERNEL_SKELETON))
+def test_arbitrary_trees_in_a_kernel_request_end_in_a_named_error(tmp_path, text):
+    assert _cli_exit("kernel", text, tmp_path) in (0, 2, 3)
