@@ -32,7 +32,7 @@ print(f"  a realizing unitary (gauge-fixed):\n{np.round(phase_fix(result.U), 6)}
 
 print("\n== the 3x3 witness that no unitary realizes ==")
 witness = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-result = unistochastic_search(witness, seed=0, n_starts=64, max_iters=500)
+result = unistochastic_search(witness, seed=0)
 print(f"  best residual over 64 starts: {result.residual:.4f}")
 print(f"  worst start residual:         {result.start_residuals.max():.4f}")
 print(f"  verdict: {result.verdict}")

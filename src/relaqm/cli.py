@@ -32,7 +32,7 @@ from .errors import (
     RelaqmError,
     ValidationError,
 )
-from .hilbert import ATOL
+from .hilbert import _MAX_AMPLITUDES, ATOL
 from .kernels import (
     kernel_from_families,
     phase_fix,
@@ -46,6 +46,9 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+
+# random triples per lattice-check sweep
+LATTICE_TRIALS = 200
 
 
 def _env_seed() -> int | None:
@@ -70,17 +73,6 @@ def _effective_seed(flag: int | None, fallback: int | None = None) -> int | None
     if env is not None:
         return env
     return fallback
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts: 0 or a negative value is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _cmd_run(args) -> int:
@@ -108,7 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    from .scenario import _MAX_AMPLITUDES, parse_families, parse_yaml, resolve_family
+    from .scenario import parse_families, parse_yaml, resolve_family
 
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse_yaml(fh.read())
@@ -154,8 +146,7 @@ def _cmd_unistochastic(args) -> int:
     check = verify_double_stochastic(p)
     sys.stdout.write(f"doubly stochastic check: {check}\n")
     try:
-        result = unistochastic_search(p, seed=_effective_seed(args.seed, 0),
-                                      n_starts=args.starts, max_iters=args.iters)
+        result = unistochastic_search(p, seed=_effective_seed(args.seed, 0))
     except NotDoublyStochastic as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_VALIDATION
@@ -178,7 +169,7 @@ def _cmd_unistochastic(args) -> int:
     return EXIT_NUMERIC
 
 
-def _lattice_laws(dim: int, trials: int, rng: np.random.Generator):
+def _lattice_laws(dim: int, rng: np.random.Generator):
     """Randomized checks of the subspace-lattice laws; yields (law, failures)."""
     from .questions import (Question, implies, join, meet, negate, orthomodular_check,
                             random_question, same_question)
@@ -186,7 +177,7 @@ def _lattice_laws(dim: int, trials: int, rng: np.random.Generator):
     fails = {"commutativity": 0, "associativity": 0, "de_morgan": 0,
              "double_negation": 0, "complement": 0, "orthomodular": 0}
     always, never = Question.always(dim), Question.never(dim)
-    for _ in range(trials):
+    for _ in range(LATTICE_TRIALS):
         ranks = rng.integers(0, dim + 1, size=3)
         a, b, c = (random_question(dim, int(r), rng) for r in ranks)
         if not same_question(join(a, b), join(b, a)):
@@ -212,11 +203,15 @@ def _lattice_laws(dim: int, trials: int, rng: np.random.Generator):
 def _cmd_lattice_check(args) -> int:
     if args.dim < 2:
         raise ValidationError("InvalidDimension", f"dim must be >= 2, got {args.dim}")
+    if args.dim * args.dim > _MAX_AMPLITUDES:
+        raise ValidationError("TooLarge", f"a dim-{args.dim} question holds "
+                                          f"{args.dim * args.dim} amplitudes, more than "
+                                          f"the {_MAX_AMPLITUDES} allowed")
     rng = np.random.default_rng(_effective_seed(args.seed, 0))
-    fails = _lattice_laws(args.dim, args.trials, rng)
+    fails = _lattice_laws(args.dim, rng)
     bad = 0
     for law, count in fails.items():
-        status = "pass" if count == 0 else f"FAIL ({count}/{args.trials})"
+        status = "pass" if count == 0 else f"FAIL ({count}/{LATTICE_TRIALS})"
         sys.stdout.write(f"{law:16s} {status}\n")
         bad += count
     return EXIT_OK if bad == 0 else EXIT_NUMERIC
@@ -245,13 +240,10 @@ def main(argv=None) -> int:
     p_uni = sub.add_parser("unistochastic", parents=[seed],
                            help="search for a unitary with |U|^2 = p")
     p_uni.add_argument("matrix", help="whitespace-separated rows of reals")
-    p_uni.add_argument("--starts", type=_positive_int, default=64)
-    p_uni.add_argument("--iters", type=_positive_int, default=500)
 
     p_lat = sub.add_parser("lattice-check", parents=[seed],
                            help="random sweep of lattice laws")
     p_lat.add_argument("dim", type=int)
-    p_lat.add_argument("--trials", type=_positive_int, default=200)
 
     args = parser.parse_args(argv)
     handlers = {
@@ -262,10 +254,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, DescriptionUnavailable) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    # OSError and UnicodeDecodeError: a missing, unreadable or non-UTF-8 path
+    except (ParseError, ValidationError, DescriptionUnavailable, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except RelaqmError as exc:

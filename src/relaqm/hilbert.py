@@ -56,6 +56,12 @@ ATOL = 1e-9
 OPT_ATOL = 1e-6
 RANK_TOL = 1e-7
 
+# The most amplitudes an input may ask for: all observers' accounts together
+# in a scenario, one family in a kernel request, one question in a lattice
+# sweep.  2**26 complex128 values are 1 GiB; larger inputs are refused before
+# anything is allocated.
+_MAX_AMPLITUDES = 2**26
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -118,16 +124,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def retag(self, observer: str) -> "StateVector":
-        """Same amplitudes as a description relative to a different observer."""
-        return StateVector(self.amplitudes, self.dim_factors, observer,
-                           require_normalized=False)
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"overlap of dim {self.dim} with dim {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __repr__(self):
         return (f"StateVector(dim={self.dim}, factors={self.dim_factors}, "
                 f"relative_to={self.relative_to!r})")
@@ -165,9 +161,6 @@ class Operator:
         if not self.is_hermitian:
             return False
         return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) < ATOL)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dim_factors)
 
     def __repr__(self):
         return f"Operator(dim={self.dim}, factors={self.dim_factors})"

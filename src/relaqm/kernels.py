@@ -242,6 +242,10 @@ def phase_fix(u) -> np.ndarray:
 # a start whose best residual stays above this has stalled: it is not polished,
 # and when every start stalls the matrix is declared non-unistochastic
 STALL_RESIDUAL = 1e-2
+# the search budget that STALL_RESIDUAL's non-unistochastic verdict is tuned for;
+# a smaller one would let a unistochastic matrix look stalled
+N_STARTS = 64
+MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -253,13 +257,13 @@ class UnistochasticResult:
     start_residuals: np.ndarray
     iterations: int
 
-    def accepted(self, tol: float = OPT_ATOL) -> bool:
-        """The matrix is certified unistochastic at this tolerance."""
-        return self.residual < tol
+    def accepted(self) -> bool:
+        """The residual is below OPT_ATOL: p is certified unistochastic."""
+        return self.residual < OPT_ATOL
 
-    def all_stalled(self, threshold: float = STALL_RESIDUAL) -> bool:
-        """Every start stayed far from feasibility: declare non-unistochastic."""
-        return bool(np.min(self.start_residuals) > threshold)
+    def all_stalled(self) -> bool:
+        """Every start stayed above STALL_RESIDUAL: declare non-unistochastic."""
+        return bool(np.min(self.start_residuals) > STALL_RESIDUAL)
 
     @property
     def verdict(self) -> str:
@@ -308,11 +312,11 @@ def _tangent_jacobian(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (2 * np.real(np.conj(u) * du)).reshape(len(basis), -1).T
 
 
-def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
-                         stop: float = 1e-13) -> tuple[np.ndarray, float]:
+def _gauss_newton_polish(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
     """Local refinement on the unitary manifold.
 
-    Levenberg-damped Gauss-Newton in the tangent coordinates U -> e^{-iH} U;
+    Levenberg-damped Gauss-Newton in the tangent coordinates U -> e^{-iH} U,
+    at most 40 steps and none once the residual is below 1e-13;
     quadratically convergent where the projection iteration only crawls.
     """
     basis = _hermitian_basis(p.shape[0])
@@ -320,8 +324,8 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
     resid = (np.abs(u) ** 2 - p).ravel()
     f = float(np.linalg.norm(resid))
     lam = 1e-8
-    for _ in range(iters):
-        if f < stop:
+    for _ in range(40):
+        if f < 1e-13:
             break
         jac = _tangent_jacobian(u, basis)
         improved = False
@@ -343,16 +347,15 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray, iters: int = 40,
     return u, f
 
 
-def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
-                         max_iters: int = 500) -> UnistochasticResult:
+def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
     """Search for a unitary with |U|^2 = p by multi-start projections.
 
-    Each start runs reflection-averaged alternating projections
-    (Douglas-Rachford) between the unitary manifold -- reached by polar
-    decomposition via the SVD -- and the fixed-modulus set sqrt(p) * phases,
-    from seeded random phases (start 0 uses zero phases).  Starts are
-    independent and merged by minimum residual with a deterministic
-    tie-break (lowest start index).
+    Each of N_STARTS starts runs, for at most MAX_ITERS iterations,
+    reflection-averaged alternating projections (Douglas-Rachford) between
+    the unitary manifold -- reached by polar decomposition via the SVD -- and
+    the fixed-modulus set sqrt(p) * phases, from seeded random phases (start
+    0 uses zero phases).  Starts are independent and merged by minimum
+    residual with a deterministic tie-break (lowest start index).
 
     The projections only crawl near a solution, so the best start is handed
     to a Gauss-Newton polish as soon as its residual falls below a bar that
@@ -365,9 +368,6 @@ def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
     A residual below 1e-6 certifies p as unistochastic; non-unistochasticity
     is declared only when every start stalls above 1e-2.
     """
-    if n_starts < 1 or max_iters < 1:
-        raise ValueError(f"n_starts and max_iters must be positive, "
-                         f"got {n_starts} and {max_iters}")
     p = np.asarray(p, dtype=float)
     report = verify_double_stochastic(p)
     if not report.ok(OPT_ATOL):
@@ -377,13 +377,13 @@ def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
     stop = 1e-12
 
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2 * np.pi, size=(n_starts, dim, dim))
+    theta = rng.uniform(0.0, 2 * np.pi, size=(N_STARTS, dim, dim))
     theta[0] = 0.0
     z = root[None, :, :] * np.exp(1j * theta)
-    best_res = np.full(n_starts, np.inf)
+    best_res = np.full(N_STARTS, np.inf)
     best_u = np.zeros_like(z)
     bar = STALL_RESIDUAL
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         u = _project_unitary(z)
         res = np.linalg.norm(np.abs(u) ** 2 - p[None], axis=(1, 2))
         mask = res < best_res
@@ -418,13 +418,14 @@ def unistochastic_search(p, seed: int = 0, n_starts: int = 64,
                                start_residuals=best_res, iterations=iterations)
 
 
-def triangle_criterion_3x3(p, tol: float = ATOL) -> bool:
+def triangle_criterion_3x3(p) -> bool:
     """Analytic unistochasticity test for 3x3 doubly stochastic matrices.
 
     Row orthogonality of a unitary forces the three link moduli
     L_m = sqrt(p[a, m] p[b, m]) of any row pair (a, b) to close into a
     triangle; for 3x3 matrices this chain-links condition is also
-    sufficient.  All row and column pairs are checked.
+    sufficient.  All row and column pairs are checked, each closing within
+    ATOL.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3, 3):
@@ -435,7 +436,7 @@ def triangle_criterion_3x3(p, tol: float = ATOL) -> bool:
 
     def links_close(links: np.ndarray) -> bool:
         total = float(links.sum())
-        return bool(np.max(links) <= total - np.max(links) + tol)
+        return bool(np.max(links) <= total - np.max(links) + ATOL)
 
     for a in range(3):
         for b in range(a + 1, 3):

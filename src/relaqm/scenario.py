@@ -40,8 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import propagator
-from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
-                      _apply_on_factors, orthonormality_defect, sample_index)
+from .hilbert import (_MAX_AMPLITUDES, ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator,
+                      StateVector, _apply_on_factors, orthonormality_defect,
+                      sample_index)
 from .kernels import (
     classical_composite_probability,
     composite_probability,
@@ -70,10 +71,9 @@ __all__ = [
     "resolve_family",
 ]
 
-# The most amplitudes a document may ask for: all observers' accounts
-# together in a scenario, one family in a kernel request.  2**26 complex128
-# values are 1 GiB; larger documents are refused before anything is allocated.
-_MAX_AMPLITUDES = 2**26
+# A measure event builds its premeasurement as a dense (d_s·d_o)^2 unitary
+# with an O((d_s·d_o)^3) completion: at 1024, 16 MiB and 10-13 s on a 2-core Xeon.
+_MAX_PREMEASUREMENT_DIM = 1024
 
 _BUILTIN_HAMILTONIANS = {
     "pauli_x": PAULI_X,
@@ -272,8 +272,14 @@ def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
         raise ValidationError("NotAnObserver", f"{where}: {observer!r} is not an observer")
     if target not in dims:
         raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
-    return MeasureEvent(observer, target,
-                        _check_measurement(where, observer, target, family, dims, families))
+    resolved = _check_measurement(where, observer, target, family, dims, families)
+    joint = dims[target] * dims[observer]
+    if joint > _MAX_PREMEASUREMENT_DIM:
+        raise ValidationError(
+            "TooLarge",
+            f"{where}: the premeasurement of {target!r} by {observer!r} acts on "
+            f"dimension {joint}, more than the {_MAX_PREMEASUREMENT_DIM} allowed")
+    return MeasureEvent(observer, target, resolved)
 
 
 def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:

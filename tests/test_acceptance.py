@@ -177,7 +177,7 @@ def test_criterion_07_unistochastic_search():
         result = unistochastic_search(target, seed=trial)
         assert result.residual < 1e-6
     witness = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-    result = unistochastic_search(witness, seed=0, n_starts=64, max_iters=500)
+    result = unistochastic_search(witness, seed=0)
     assert result.start_residuals.size == 64
     assert np.min(result.start_residuals) > 1e-2
     analytic = triangle_criterion_3x3(witness)

@@ -236,7 +236,7 @@ def test_transition_kernel_validation():
 
 def test_unistochastic_search_symmetric_2x2():
     t = 0.36
-    result = unistochastic_search([[t, 1 - t], [1 - t, t]], seed=0, n_starts=8)
+    result = unistochastic_search([[t, 1 - t], [1 - t, t]], seed=0)
     assert result.residual < 1e-6
     assert result.verdict == "unistochastic"
     np.testing.assert_allclose(np.abs(result.U) ** 2, [[t, 1 - t], [1 - t, t]],
@@ -245,11 +245,11 @@ def test_unistochastic_search_symmetric_2x2():
 
 def test_unistochastic_search_permutation_is_exact():
     identity = np.eye(3)
-    result = unistochastic_search(identity, seed=0, n_starts=4)
+    result = unistochastic_search(identity, seed=0)
     assert result.residual == 0.0
     np.testing.assert_array_equal(np.abs(result.U) ** 2, identity)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    result = unistochastic_search(swap, seed=0, n_starts=4)
+    result = unistochastic_search(swap, seed=0)
     assert result.residual == 0.0
     np.testing.assert_array_equal(np.abs(result.U) ** 2, swap)
 
@@ -265,7 +265,7 @@ def test_unistochastic_search_recovers_random_moduli():
 
 
 def test_unistochastic_search_rejects_offdiagonal_half():
-    result = unistochastic_search(OFFDIAG_HALF, seed=0, n_starts=64, max_iters=500)
+    result = unistochastic_search(OFFDIAG_HALF, seed=0)
     assert result.verdict == "non-unistochastic"
     assert np.min(result.start_residuals) > 1e-2
     assert len(result.start_residuals) == 64
@@ -274,10 +274,6 @@ def test_unistochastic_search_rejects_offdiagonal_half():
 def test_unistochastic_search_validates_input():
     with pytest.raises(NotDoublyStochastic):
         unistochastic_search([[0.9, 0.2], [0.1, 0.8]])
-    with pytest.raises(ValueError, match="positive"):
-        unistochastic_search(np.eye(2), n_starts=0)
-    with pytest.raises(ValueError, match="positive"):
-        unistochastic_search(np.eye(2), max_iters=0)
 
 
 @pytest.mark.parametrize("p", [OFFDIAG_HALF, mix(0.678)], ids=["witness", "mix_t0.678"])

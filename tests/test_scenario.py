@@ -130,6 +130,22 @@ def test_scenario_too_large_to_hold_is_refused_at_parse_time():
         parse_scenario(many_qubits(27, 2))
 
 
+def pointer_measures_qubit(pointer_dim: int) -> str:
+    """O, of dimension ``pointer_dim``, measures the qubit S."""
+    ready = "[1.0" + ", 0.0" * (pointer_dim - 1) + "]"
+    return (f"systems: [{{name: S, dim: 2}}, {{name: O, dim: {pointer_dim}}}]\n"
+            f"observers: [O]\npreparations: {{S: [1.0, 0.0], O: {ready}}}\n"
+            "events: [{measure: {observer: O, target: S}}]\n")
+
+
+def test_premeasurement_too_large_to_build_is_refused_at_parse_time():
+    """A measure event's dense premeasurement acts on d_s·d_o <= 1024.
+    Only parsed: a run would build the (d_s·d_o)^2 unitary."""
+    parse_scenario(pointer_measures_qubit(512))  # 1024: the limit itself
+    with pytest.raises(ValidationError, match="TooLarge"):
+        parse_scenario(pointer_measures_qubit(513))
+
+
 def test_malformed_document_is_parse_error():
     with pytest.raises(ParseError):
         parse_scenario("systems: [1, 2")
