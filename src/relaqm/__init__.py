@@ -13,7 +13,7 @@ scenarios:
   lattice, complete families and their Boolean algebras;
 * :mod:`relaqm.kernels` -- doubly stochastic transition matrices, their
   unitary realizations, composite-question interference, and the
-  unistochasticity search;
+  unistochasticity decision;
 * :mod:`relaqm.dynamics` -- Heisenberg-picture propagators and picture
   duality;
 * :mod:`relaqm.scenario` -- the declarative scenario runner and report
@@ -50,9 +50,9 @@ _EXPORTS = {
         "redundant_flags", "same_question",
     ),
     "kernels": (
-        "TransitionKernel", "UnistochasticResult",
+        "TransitionKernel", "UnistochasticDecision", "UnistochasticResult",
         "classical_composite_probability", "compose", "composite_probability",
-        "interference_gap", "kernel_from_families", "phase_fix",
+        "decide_unistochastic", "interference_gap", "kernel_from_families", "phase_fix",
         "triangle_criterion_3x3", "unistochastic_search",
         "verify_double_stochastic",
     ),

@@ -10,10 +10,13 @@ p_ab p_bc is exactly quantum interference, which the composite-question
 probabilities below quantify.
 
 Not every doubly stochastic matrix is unistochastic for size >= 3.
-:func:`unistochastic_search` decides feasibility numerically by multi-start
-projection onto the unitary manifold; for 3x3 matrices the analytic
-chain-links criterion (:func:`triangle_criterion_3x3`) provides an
-independent certificate.
+:func:`decide_unistochastic` decides it exactly where theory allows: the
+chain-link condition (Bengtsson et al., "Birkhoff's polytope and unistochastic
+matrices, N = 3 and N = 4", CMP 259 (2005)) certifies a rejection at any size,
+and for size <= 3, where the condition is also sufficient, U has a closed
+form.  Only what is left goes to :func:`unistochastic_search`, which decides
+feasibility numerically by multi-start projection onto the unitary manifold.
+:func:`triangle_criterion_3x3` is the chain-link condition at size 3.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "TransitionKernel",
     "StochasticReport",
     "UnistochasticResult",
+    "UnistochasticDecision",
     "kernel_from_families",
     "verify_double_stochastic",
     "composite_probability",
@@ -46,6 +50,7 @@ __all__ = [
     "interference_gap",
     "compose",
     "unistochastic_search",
+    "decide_unistochastic",
     "triangle_criterion_3x3",
     "phase_fix",
 ]
@@ -418,6 +423,35 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
                                start_residuals=best_res, iterations=iterations)
 
 
+def _check_double_stochastic(p: np.ndarray) -> None:
+    report = verify_double_stochastic(p)
+    if not report.ok(OPT_ATOL):
+        raise NotDoublyStochastic(f"input violates double stochasticity: {report}")
+
+
+def _open_chain_link(p: np.ndarray) -> tuple[str, int, int, float] | None:
+    """The first pair of rows, then of columns, whose links do not close.
+
+    Row orthogonality of a unitary forces the links L_m = sqrt(p[a, m] p[b, m])
+    of any row pair (a, b), and likewise of any column pair, to close into a
+    polygon: the largest is at most the sum of the others.  Returns
+    (``"rows"`` or ``"columns"``, a, b, gap) for the first pair whose largest
+    link exceeds the sum of the others by more than ATOL, the gap being that
+    excess, or None when every pair closes.
+    """
+    p = np.maximum(p, 0.0)
+    for kind, q in (("rows", p), ("columns", p.T)):
+        for a in range(len(q) - 1):
+            links = np.sqrt(q[a] * q[a + 1:])  # row k: the links of (a, a + 1 + k)
+            largest = links.max(axis=1)
+            rest = links.sum(axis=1) - largest
+            open_ = np.flatnonzero(largest > rest + ATOL)
+            if open_.size:
+                k = int(open_[0])
+                return kind, a, a + 1 + k, float(largest[k] - rest[k])
+    return None
+
+
 def triangle_criterion_3x3(p) -> bool:
     """Analytic unistochasticity test for 3x3 doubly stochastic matrices.
 
@@ -430,18 +464,98 @@ def triangle_criterion_3x3(p) -> bool:
     p = np.asarray(p, dtype=float)
     if p.shape != (3, 3):
         raise DimensionMismatch(f"criterion is specific to 3x3, got {p.shape}")
-    report = verify_double_stochastic(p)
-    if not report.ok(OPT_ATOL):
-        raise NotDoublyStochastic(f"input violates double stochasticity: {report}")
+    _check_double_stochastic(p)
+    return _open_chain_link(p) is None
 
-    def links_close(links: np.ndarray) -> bool:
-        total = float(links.sum())
-        return bool(np.max(links) <= total - np.max(links) + ATOL)
 
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if not links_close(np.sqrt(p[a, :] * p[b, :])):
-                return False
-            if not links_close(np.sqrt(p[:, a] * p[:, b])):
-                return False
-    return True
+def _triangle_phases(links: np.ndarray) -> np.ndarray:
+    """Phases phi with sum_m links[m] e^{i phi_m} = 0, for three links that
+    close into a triangle.
+
+    The largest link lies on the real axis; the law of cosines gives the
+    turn to each of the other two, one on each side.  With a zero link the
+    triangle is degenerate: the two others are equal and opposite.
+    """
+    a = int(np.argmax(links))
+    b, c = (m for m in range(3) if m != a)
+    la, lb, lc = links[a], links[b], links[c]
+    phases = np.zeros(3)
+    if lb > 0 and lc > 0:
+        phases[b] = np.arccos(np.clip((lc**2 - la**2 - lb**2) / (2 * la * lb), -1.0, 1.0))
+        phases[c] = -np.arccos(np.clip((lb**2 - la**2 - lc**2) / (2 * la * lc), -1.0, 1.0))
+    else:
+        phases[b] = phases[c] = np.pi
+    return phases
+
+
+def _closed_form_unitary(p: np.ndarray) -> np.ndarray:
+    """A candidate U with |U|^2 = p for size <= 3, built without a search.
+
+    Row 0 is sqrt(p[0, j]).  Row 1 is sqrt(p[1, j]) with the phases that close
+    its links with row 0 (for size 2, the sign flip that makes it orthogonal).
+    Both are normalised, and row 1 orthogonalised against row 0, so that U is
+    unitary even where p is doubly stochastic only within OPT_ATOL.  Row 2 is
+    the conjugated cross product of rows 0 and 1, the one unit row orthogonal
+    to both.  The caller checks the result against p.
+    """
+    root = np.sqrt(np.maximum(p, 0.0))
+    dim = len(p)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[0] = root[0] / np.linalg.norm(root[0])
+    if dim == 2:
+        u[1] = -u[0, 1], u[0, 0]
+    elif dim == 3:
+        row = root[1] * np.exp(1j * _triangle_phases(root[0] * root[1]))
+        row -= np.vdot(u[0], row) * u[0]
+        u[1] = row / np.linalg.norm(row)
+        u[2] = np.conj(np.cross(u[0], u[1]))
+    return u
+
+
+@dataclass(frozen=True)
+class UnistochasticDecision:
+    """The verdict on p = |U|^2 and the step that reached it.
+
+    ``method`` is ``"chain links"`` for a certified rejection, whose
+    ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap); ``"closed
+    form"`` for size <= 3; or ``"search"``.  ``U`` and ``residual``
+    (||U|^2 - p|| in the Frobenius norm) belong to the unitary decided on; a
+    rejection by the chain links has neither.
+    """
+
+    verdict: str
+    method: str
+    U: np.ndarray | None = None
+    residual: float | None = None
+    open_links: tuple[str, int, int, float] | None = None
+
+    def accepted(self) -> bool:
+        return self.verdict == "unistochastic"
+
+
+def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
+    """Decide whether p = |U|^2 for a unitary U, by the first step that can.
+
+    1. p must be doubly stochastic within OPT_ATOL, else NotDoublyStochastic.
+    2. A pair of rows or columns whose links do not close certifies p
+       non-unistochastic, at any size.
+    3. For size <= 3 the closed form is accepted if it is unitary within
+       ATOL and reproduces p with a residual below OPT_ATOL, the search's
+       own acceptance bar.
+    4. Otherwise :func:`unistochastic_search` decides, with ``seed``.
+    """
+    p = np.asarray(p, dtype=float)
+    _check_double_stochastic(p)
+    open_links = _open_chain_link(p)
+    if open_links is not None:
+        return UnistochasticDecision("non-unistochastic", "chain links",
+                                     open_links=open_links)
+    if len(p) <= 3:
+        u = _closed_form_unitary(p)
+        residual = float(np.linalg.norm(np.abs(u) ** 2 - p))
+        if residual < OPT_ATOL and orthonormality_defect(u) <= ATOL:
+            return UnistochasticDecision("unistochastic", "closed form", U=u,
+                                         residual=residual)
+    result = unistochastic_search(p, seed)
+    return UnistochasticDecision(result.verdict, "search", U=result.U,
+                                 residual=result.residual)

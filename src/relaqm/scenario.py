@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -41,8 +40,7 @@ from .errors import (
 )
 from .dynamics import propagator
 from .hilbert import (_MAX_AMPLITUDES, ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator,
-                      StateVector, _apply_on_factors, orthonormality_defect,
-                      sample_index)
+                      StateVector, _apply_on_factors, sample_index)
 from .kernels import (
     classical_composite_probability,
     composite_probability,
@@ -51,6 +49,8 @@ from .kernels import (
 )
 from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
                           premeasurement_unitary)
+from .parsing import (_complex_vector, _name, _real_value, _square_matrix, parse_families,
+                      parse_yaml, read_text, resolve_family)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -141,102 +141,10 @@ def fixture_path(name: str):
 # parsing
 
 
-def parse_yaml(text: str):
-    """The data of one YAML document, read with PyYAML's safe loader.
-
-    The libyaml-backed ``CSafeLoader`` is used where PyYAML was built with
-    libyaml; the pure-Python ``SafeLoader`` builds the same tree, only slower.
-    A syntax error is a :class:`ParseError`.
-    """
-    import yaml  # deferred: `unistochastic` and `lattice-check` read no YAML
-
-    try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not a well-formed document: {exc}") from exc
-
-
-def _real_value(raw, where: str, expected: str = "a number or an [re, im] pair") -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ParseError(f"{where}: expected {expected}, got {raw!r}")
-    if not abs(raw) <= sys.float_info.max:  # NaN, ±inf, or an integer past the float range
-        raise ParseError(f"{where}: {raw!r} is not a finite number")
-    return float(raw)
-
-
-def _complex_value(raw, where: str) -> complex:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(_real_value(raw[0], where), _real_value(raw[1], where))
-    return complex(_real_value(raw, where))
-
-
-def _complex_vector(raw, where: str) -> np.ndarray:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ParseError(f"{where}: expected a non-empty list of amplitudes")
-    return np.array([_complex_value(x, where) for x in raw], dtype=complex)
-
-
-def _square_matrix(raw, where: str) -> np.ndarray:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ParseError(f"{where}: expected a non-empty list of rows")
-    rows = [_complex_vector(r, where) for r in raw]
-    if len({r.size for r in rows}) != 1:
-        raise ParseError(f"{where}: rows have differing lengths")
-    if rows[0].size != len(rows):
-        raise ValidationError("NonSquareMatrix",
-                              f"{where}: {len(rows)} rows of {rows[0].size} entries")
-    return np.array(rows, dtype=complex)
-
-
 def _require(mapping, key, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"{where}: missing required field {key!r}")
     return mapping[key]
-
-
-def _name(raw, where: str):
-    """A system, observer or family name; names are non-empty strings."""
-    if not isinstance(raw, str) or not raw:
-        raise ParseError(f"{where}: a name must be a non-empty string, got {raw!r}")
-    return raw
-
-
-def parse_families(raw) -> dict[str, np.ndarray]:
-    """Declared families: names mapped to unitary matrices (columns = basis vectors)."""
-    if not raw:
-        return {}
-    if not isinstance(raw, dict):
-        raise ParseError("families must be a mapping from names to matrices")
-    families: dict[str, np.ndarray] = {}
-    for fname, rows in raw.items():
-        basis = _square_matrix(rows, f"families.{fname}")
-        if orthonormality_defect(basis) > ATOL:
-            raise ValidationError("FamilyNotUnitary",
-                                  f"family {fname!r} basis is not unitary")
-        _name(fname, "families")
-        families[fname] = basis
-    return families
-
-
-def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> CompleteFamily:
-    """Look up a family by name: scenario-declared first, then builtins."""
-    if name in declared:
-        basis = declared[name]
-        if basis.shape[0] != dim:
-            raise ValidationError(
-                "FamilyDimension",
-                f"family {name!r} has dim {basis.shape[0]}, target has dim {dim}")
-        return CompleteFamily(basis, name)
-    if name == "computational":
-        return CompleteFamily.computational(dim)
-    if name == "hadamard":
-        if dim != 2:
-            raise ValidationError("FamilyDimension",
-                                  f"hadamard family is two-dimensional, target has dim {dim}")
-        return CompleteFamily.hadamard()
-    if name == "fourier":
-        return CompleteFamily.fourier(dim)
-    raise ValidationError("UnknownFamily", f"no family named {name!r}")
 
 
 def _check_measurement(where: str, pointer: str, system: str, family: str,
@@ -491,8 +399,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    return parse_scenario(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,13 @@ def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_lattice_check_too_large_exits_2(capsys, monkeypatch):
-    """A dim-d question holds d**2 amplitudes, at most 2**26: 8192 is the
-    limit itself.  The sweep is replaced, so neither dim allocates."""
+    """A dim-d sweep holds 18 d**2 amplitudes, at most 2**26: 1930 is the
+    largest dim allowed.  The sweep is replaced, so neither dim allocates."""
     monkeypatch.setattr(cli, "_lattice_laws", lambda dim, rng: {"complement": 0})
-    assert main(["lattice-check", "8193"]) == 2
+    assert cli.LATTICE_ARRAYS == 18
+    assert main(["lattice-check", "1931"]) == 2
     assert "error: TooLarge" in capsys.readouterr().err
-    assert main(["lattice-check", "8192"]) == 0
+    assert main(["lattice-check", "1930"]) == 0
 
 
 UNREADABLE_PATHS = {
@@ -264,7 +265,10 @@ def test_unreadable_paths_exit_2(tmp_path, capsys, argv):
     latin1 = tmp_path / "latin1.yaml"
     latin1.write_bytes("name: caf\u00e9\n".encode("latin-1"))
     assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "{latin1}" in argv:
+        assert f"error: {latin1}: not UTF-8 text" in err
 
 
 def test_importing_the_package_does_not_load_yaml():
@@ -273,13 +277,25 @@ def test_importing_the_package_does_not_load_yaml():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+SCENARIO_LAYERS = "{'relaqm.scenario', 'relaqm.measurement', 'relaqm.dynamics'}"
+
+
 def test_importing_the_cli_skips_the_scenario_layers():
     """`unistochastic` and `lattice-check` never load the scenario runner,
     the measurement layer or the dynamics."""
-    code = ("import sys, relaqm.cli; sys.exit(' '.join(sorted({'relaqm.scenario', "
-            "'relaqm.measurement', 'relaqm.dynamics'} & set(sys.modules))) or None)")
+    code = ("import sys, relaqm.cli; "
+            f"sys.exit(' '.join(sorted({SCENARIO_LAYERS} & set(sys.modules))) or None)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_kernel_request_skips_the_scenario_layers():
+    """`kernel` reads its YAML and families without the scenario runner."""
+    code = (f"import sys, relaqm.cli; code = relaqm.cli.main(['kernel', {KERNELS!r}]); "
+            f"sys.exit(code or ' '.join(sorted({SCENARIO_LAYERS} & set(sys.modules))) or None)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "computational <- hadamard" in result.stdout
 
 
 @pytest.mark.parametrize("argv", [

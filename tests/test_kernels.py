@@ -13,17 +13,20 @@ from relaqm.errors import (
     MissingUnitary,
     NotDoublyStochastic,
 )
-from relaqm.hilbert import haar_unitary
+from relaqm import kernels
+from relaqm.hilbert import OPT_ATOL, haar_unitary, orthonormality_defect
 from relaqm.kernels import (
     STALL_RESIDUAL,
     TransitionKernel,
     _hermitian_basis,
+    _open_chain_link,
     _project_modulus,
     _project_unitary,
     _tangent_jacobian,
     classical_composite_probability,
     compose,
     composite_probability,
+    decide_unistochastic,
     interference_gap,
     kernel_from_families,
     phase_fix,
@@ -330,6 +333,105 @@ def test_search_agrees_with_the_triangle_criterion_across_the_boundary(t):
         assert verdict != "inconclusive"
     if verdict != "inconclusive":
         assert (verdict == "unistochastic") == triangle_criterion_3x3(p)
+
+
+def _refuse_search(p, seed=0):
+    raise AssertionError("the decision fell through to the search")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 3), draw=st.integers(0, 2**32 - 1))
+def test_decision_builds_u_for_haar_moduli_in_closed_form(dim, draw):
+    p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
+    decision = decide_unistochastic(p)
+    assert (decision.verdict, decision.method) == ("unistochastic", "closed form")
+    assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-12
+    assert orthonormality_defect(decision.U) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(4, 8), draw=st.integers(0, 2**32 - 1))
+def test_haar_moduli_are_never_certified_non_unistochastic(dim, draw):
+    p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
+    assert _open_chain_link(p) is None
+    assert _open_chain_link(p.T) is None
+
+
+@pytest.mark.parametrize("t", BOUNDARY_MIXES + (2 / 3,),
+                         ids=[f"t{t:.4f}" for t in BOUNDARY_MIXES + (2 / 3,)])
+def test_decision_matches_the_triangle_criterion_without_a_search(t, monkeypatch):
+    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    p = mix(t)
+    decision = decide_unistochastic(p)
+    assert decision.verdict != "inconclusive"
+    assert decision.accepted() == triangle_criterion_3x3(p)
+    if decision.accepted():
+        assert decision.residual < 1e-12
+    else:
+        assert decision.U is None and decision.open_links[0] == "rows"
+
+
+def _zero_link_inputs():
+    half = np.block([[np.eye(1), np.zeros((1, 2))], [np.zeros((2, 1)), np.full((2, 2), 0.5)]])
+    perms = [np.eye(3)[list(perm)] for perm in itertools.permutations(range(3))]
+    blocks = [half[np.ix_(rows, cols)] for rows in itertools.permutations(range(3))
+              for cols in itertools.permutations(range(3))]
+    return [np.eye(1), np.eye(2), np.eye(2)[::-1], *perms, *blocks]
+
+
+def test_decision_handles_zero_links(monkeypatch):
+    """Permutations, diag(1, 1/2 (+) 1/2) under row and column permutations and
+    the identities: links vanish, or two of three cancel exactly."""
+    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    for p in _zero_link_inputs():
+        decision = decide_unistochastic(p)
+        assert decision.method == "closed form", p
+        assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-15
+        assert orthonormality_defect(decision.U) < 1e-15
+
+
+# rows all close; columns 2 and 3 have links (0, 0.285, 0.148, 0.076), which do not
+FOUR_OPEN_COLUMNS = np.array([[0.13, 0.36, 0.51, 0.00],
+                              [0.15, 0.26, 0.37, 0.22],
+                              [0.44, 0.25, 0.11, 0.20],
+                              [0.28, 0.13, 0.01, 0.58]])
+
+
+@pytest.mark.parametrize("p, kind", [(FOUR_OPEN_COLUMNS, "columns"),
+                                     (FOUR_OPEN_COLUMNS.T, "rows")], ids=["columns", "rows"])
+def test_open_links_certify_a_4x4_without_a_search(p, kind, monkeypatch):
+    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    decision = decide_unistochastic(p)
+    assert (decision.verdict, decision.method) == ("non-unistochastic", "chain links")
+    assert decision.open_links[:3] == (kind, 2, 3)
+    assert decision.open_links[3] == pytest.approx(0.0608, abs=1e-4)
+
+
+def test_closed_form_is_checked_against_p():
+    """p is doubly stochastic only within OPT_ATOL: two entries of row 2 moved
+    by -+9e-7.  The closed form matches rows 0 and 1 and fixes row 2 by
+    unitarity, a residual of 1.3e-6, so it is refused and the search, which
+    can spread the error, decides."""
+    p = np.abs(haar_unitary(3, np.random.default_rng(5))) ** 2
+    p[2, :2] += [9e-7, -9e-7]
+    decision = decide_unistochastic(p)
+    assert decision.method == "search"
+    assert decision.accepted() and decision.residual < OPT_ATOL
+    assert np.linalg.norm(np.abs(decision.U) ** 2 - p) == pytest.approx(decision.residual)
+
+
+def test_decision_hands_larger_feasible_inputs_to_the_search():
+    p = np.abs(haar_unitary(4, np.random.default_rng(0))) ** 2
+    decision = decide_unistochastic(p, seed=3)
+    result = unistochastic_search(p, seed=3)
+    assert (decision.verdict, decision.method) == (result.verdict, "search")
+    assert decision.residual == result.residual
+    np.testing.assert_array_equal(decision.U, result.U)
+
+
+def test_decision_validates_input():
+    with pytest.raises(NotDoublyStochastic):
+        decide_unistochastic([[0.9, 0.2], [0.1, 0.8]])
 
 
 def test_tangent_jacobian_matches_the_column_loop():

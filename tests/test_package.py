@@ -31,8 +31,9 @@ EXPORTS = {
         "same_question",
     ],
     "kernels": [
-        "TransitionKernel", "UnistochasticResult", "classical_composite_probability",
-        "compose", "composite_probability", "interference_gap",
+        "TransitionKernel", "UnistochasticDecision", "UnistochasticResult",
+        "classical_composite_probability", "compose", "composite_probability",
+        "decide_unistochastic", "interference_gap",
         "kernel_from_families", "phase_fix", "triangle_criterion_3x3",
         "unistochastic_search", "verify_double_stochastic",
     ],
