@@ -434,21 +434,26 @@ def _open_chain_link(p: np.ndarray) -> tuple[str, int, int, float] | None:
 
     Row orthogonality of a unitary forces the links L_m = sqrt(p[a, m] p[b, m])
     of any row pair (a, b), and likewise of any column pair, to close into a
-    polygon: the largest is at most the sum of the others.  Returns
-    (``"rows"`` or ``"columns"``, a, b, gap) for the first pair whose largest
-    link exceeds the sum of the others by more than ATOL, the gap being that
-    excess, or None when every pair closes.
+    polygon: the largest is at most the sum of the others.  The search
+    accepts a U with ||U|^2 - p| < OPT_ATOL, so a pair counts as open only
+    if it stays open for every matrix within OPT_ATOL of p entrywise: the
+    largest link, its two entries moved OPT_ATOL down, still exceeds the
+    sum of the others, theirs moved OPT_ATOL up, by more than ATOL.  Near a
+    zero entry, a move of OPT_ATOL moves a link by up to sqrt(OPT_ATOL).  Returns
+    (``"rows"`` or ``"columns"``, a, b, gap) for the first open pair, the
+    gap being its largest link minus the sum of the others, or None.
     """
     p = np.maximum(p, 0.0)
     for kind, q in (("rows", p), ("columns", p.T)):
+        low, high = np.maximum(q - OPT_ATOL, 0.0), q + OPT_ATOL
         for a in range(len(q) - 1):
-            links = np.sqrt(q[a] * q[a + 1:])  # row k: the links of (a, a + 1 + k)
-            largest = links.max(axis=1)
-            rest = links.sum(axis=1) - largest
-            open_ = np.flatnonzero(largest > rest + ATOL)
+            # row k of each: the links of the pair (a, a + 1 + k)
+            links = np.sqrt(q[a] * q[a + 1:])
+            lo, hi = np.sqrt(low[a] * low[a + 1:]), np.sqrt(high[a] * high[a + 1:])
+            open_ = np.flatnonzero((lo + hi).max(axis=1) > hi.sum(axis=1) + ATOL)
             if open_.size:
                 k = int(open_[0])
-                return kind, a, a + 1 + k, float(largest[k] - rest[k])
+                return kind, a, a + 1 + k, float(2 * links[k].max() - links[k].sum())
     return None
 
 
@@ -459,7 +464,7 @@ def triangle_criterion_3x3(p) -> bool:
     L_m = sqrt(p[a, m] p[b, m]) of any row pair (a, b) to close into a
     triangle; for 3x3 matrices this chain-links condition is also
     sufficient.  All row and column pairs are checked, each closing within
-    ATOL.
+    ATOL for some matrix within OPT_ATOL of p.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3, 3):
@@ -514,17 +519,14 @@ def _closed_form_unitary(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnistochasticDecision:
-    """The verdict on p = |U|^2 and the step that reached it.
+    """The verdict on p = |U|^2.
 
-    ``method`` is ``"chain links"`` for a certified rejection, whose
-    ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap); ``"closed
-    form"`` for size <= 3; or ``"search"``.  ``U`` and ``residual``
-    (||U|^2 - p|| in the Frobenius norm) belong to the unitary decided on; a
-    rejection by the chain links has neither.
+    ``U`` and ``residual`` (||U|^2 - p| in the Frobenius norm) belong to the
+    unitary decided on.  A rejection certified by the chain links has
+    neither; its ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap).
     """
 
     verdict: str
-    method: str
     U: np.ndarray | None = None
     residual: float | None = None
     open_links: tuple[str, int, int, float] | None = None
@@ -537,8 +539,9 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     """Decide whether p = |U|^2 for a unitary U, by the first step that can.
 
     1. p must be doubly stochastic within OPT_ATOL, else NotDoublyStochastic.
-    2. A pair of rows or columns whose links do not close certifies p
-       non-unistochastic, at any size.
+    2. For size >= 3, a pair of rows or columns whose links do not close,
+       even with p's entries moved by OPT_ATOL, certifies p
+       non-unistochastic.  Every doubly stochastic 2x2 is unistochastic.
     3. For size <= 3 the closed form is accepted if it is unitary within
        ATOL and reproduces p with a residual below OPT_ATOL, the search's
        own acceptance bar.
@@ -546,16 +549,13 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     """
     p = np.asarray(p, dtype=float)
     _check_double_stochastic(p)
-    open_links = _open_chain_link(p)
+    open_links = _open_chain_link(p) if len(p) > 2 else None
     if open_links is not None:
-        return UnistochasticDecision("non-unistochastic", "chain links",
-                                     open_links=open_links)
+        return UnistochasticDecision("non-unistochastic", open_links=open_links)
     if len(p) <= 3:
         u = _closed_form_unitary(p)
         residual = float(np.linalg.norm(np.abs(u) ** 2 - p))
         if residual < OPT_ATOL and orthonormality_defect(u) <= ATOL:
-            return UnistochasticDecision("unistochastic", "closed form", U=u,
-                                         residual=residual)
+            return UnistochasticDecision("unistochastic", U=u, residual=residual)
     result = unistochastic_search(p, seed)
-    return UnistochasticDecision(result.verdict, "search", U=result.U,
-                                 residual=result.residual)
+    return UnistochasticDecision(result.verdict, U=result.U, residual=result.residual)

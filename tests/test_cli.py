@@ -76,6 +76,8 @@ def test_unistochastic_rejection_exits_3(capsys):
     out = capsys.readouterr().out
     assert "non-unistochastic" in out
     assert "violated" in out  # triangle criterion agrees
+    assert "chain links: rows 0 and 1 open by 0.5\n" in out
+    assert "residual:" not in out
 
 
 def test_unistochastic_acceptance(capsys):
@@ -83,6 +85,17 @@ def test_unistochastic_acceptance(capsys):
     out = capsys.readouterr().out
     assert "unistochastic" in out
     assert "realizing unitary" in out
+
+
+def test_unistochastic_accepts_a_2x2_within_opt_atol(tmp_path, capsys):
+    """Doubly stochastic within OPT_ATOL, its links (0, 3.2e-4) open on p as
+    given; every doubly stochastic 2x2 is unistochastic."""
+    near = tmp_path / "near.txt"
+    near.write_text("1 1e-7\n0 1\n")
+    assert main(["unistochastic", str(near)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: unistochastic\n" in out
+    assert "chain links" not in out
 
 
 def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):

@@ -339,12 +339,26 @@ def _refuse_search(p, seed=0):
     raise AssertionError("the decision fell through to the search")
 
 
+def _count_searches(monkeypatch) -> list:
+    """Let the search run, recording each call."""
+    calls = []
+
+    def search(p, seed=0):
+        calls.append(seed)
+        return unistochastic_search(p, seed)
+
+    monkeypatch.setattr(kernels, "unistochastic_search", search)
+    return calls
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(2, 3), draw=st.integers(0, 2**32 - 1))
 def test_decision_builds_u_for_haar_moduli_in_closed_form(dim, draw):
     p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
-    decision = decide_unistochastic(p)
-    assert (decision.verdict, decision.method) == ("unistochastic", "closed form")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "unistochastic_search", _refuse_search)
+        decision = decide_unistochastic(p)
+    assert decision.verdict == "unistochastic"
     assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-12
     assert orthonormality_defect(decision.U) < 1e-12
 
@@ -385,7 +399,7 @@ def test_decision_handles_zero_links(monkeypatch):
     monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
     for p in _zero_link_inputs():
         decision = decide_unistochastic(p)
-        assert decision.method == "closed form", p
+        assert decision.accepted(), p
         assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-15
         assert orthonormality_defect(decision.U) < 1e-15
 
@@ -402,29 +416,83 @@ FOUR_OPEN_COLUMNS = np.array([[0.13, 0.36, 0.51, 0.00],
 def test_open_links_certify_a_4x4_without_a_search(p, kind, monkeypatch):
     monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
     decision = decide_unistochastic(p)
-    assert (decision.verdict, decision.method) == ("non-unistochastic", "chain links")
+    assert decision.verdict == "non-unistochastic"
     assert decision.open_links[:3] == (kind, 2, 3)
     assert decision.open_links[3] == pytest.approx(0.0608, abs=1e-4)
 
 
-def test_closed_form_is_checked_against_p():
+def test_closed_form_is_checked_against_p(monkeypatch):
     """p is doubly stochastic only within OPT_ATOL: two entries of row 2 moved
     by -+9e-7.  The closed form matches rows 0 and 1 and fixes row 2 by
     unitarity, a residual of 1.3e-6, so it is refused and the search, which
     can spread the error, decides."""
     p = np.abs(haar_unitary(3, np.random.default_rng(5))) ** 2
     p[2, :2] += [9e-7, -9e-7]
+    searches = _count_searches(monkeypatch)
     decision = decide_unistochastic(p)
-    assert decision.method == "search"
+    assert searches == [0]
     assert decision.accepted() and decision.residual < OPT_ATOL
     assert np.linalg.norm(np.abs(decision.U) ** 2 - p) == pytest.approx(decision.residual)
 
 
-def test_decision_hands_larger_feasible_inputs_to_the_search():
+def _with_a_stray_entry(p: np.ndarray) -> np.ndarray:
+    """p with its entry (0, -1) raised to 1e-7: doubly stochastic within
+    OPT_ATOL and within 1e-7 of p, yet the last row's links with row 0
+    include sqrt(1e-7), which on the raised matrix does not close."""
+    p = np.array(p, dtype=float)
+    p[0, -1] += 1e-7
+    return p
+
+
+HALF_BLOCKS = np.kron(np.eye(2), np.full((2, 2), 0.5))
+NEAR_UNISTOCHASTIC = {
+    "2x2": _with_a_stray_entry(np.eye(2)),
+    "3x3": _with_a_stray_entry(np.eye(3)),
+    "4x4": _with_a_stray_entry(HALF_BLOCKS),
+    # exactly doubly stochastic; rows 1 and 2 have the single link 7e-5
+    "4x4 exact": (1 - 1e-8) * HALF_BLOCKS + 1e-8 * np.eye(4)[[2, 1, 0, 3]],
+}
+
+
+@pytest.mark.parametrize("name", NEAR_UNISTOCHASTIC)
+def test_a_link_within_opt_atol_of_closing_is_not_certified(name, monkeypatch):
+    """The search accepts |U|^2 within OPT_ATOL of p, so a link opened only by
+    moving entries that far is no certificate: the closed form (size <= 3)
+    or the search decides, and accepts."""
+    p = NEAR_UNISTOCHASTIC[name]
+    searches = _count_searches(monkeypatch)
+    decision = decide_unistochastic(p)
+    assert decision.accepted() and decision.residual < OPT_ATOL
+    assert decision.open_links is None and _open_chain_link(p) is None
+    assert searches == ([0] if len(p) == 4 else [])
+    if name == "3x3":
+        assert triangle_criterion_3x3(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(3, 8), data=st.data(), exponent=st.floats(-12.0, -6.1))
+def test_block_moduli_with_a_stray_entry_are_never_certified(dim, data, exponent):
+    """|U|^2 of a Haar U = U1 (+) U2 with one entry outside the blocks raised
+    by up to 10^-6.1: the stray link is all that joins a row of one block
+    to a row of the other, yet within OPT_ATOL it can close."""
+    k = data.draw(st.integers(1, dim - 1), label="first block")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="draw"))
+    p = np.zeros((dim, dim))
+    p[:k, :k] = np.abs(haar_unitary(k, rng)) ** 2
+    p[k:, k:] = np.abs(haar_unitary(dim - k, rng)) ** 2
+    i = data.draw(st.integers(0, k - 1), label="row")
+    j = data.draw(st.integers(k, dim - 1), label="column")
+    p[i, j] += 10.0**exponent
+    assert _open_chain_link(p) is None
+
+
+def test_decision_hands_larger_feasible_inputs_to_the_search(monkeypatch):
     p = np.abs(haar_unitary(4, np.random.default_rng(0))) ** 2
-    decision = decide_unistochastic(p, seed=3)
     result = unistochastic_search(p, seed=3)
-    assert (decision.verdict, decision.method) == (result.verdict, "search")
+    searches = _count_searches(monkeypatch)
+    decision = decide_unistochastic(p, seed=3)
+    assert searches == [3]
+    assert decision.verdict == result.verdict
     assert decision.residual == result.residual
     np.testing.assert_array_equal(decision.U, result.U)
 
