@@ -444,6 +444,14 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (np.conj(a) / abs(a))
 
 
+# Screen on the second eigenvalue of a candidate's Gram matrix, which is s_1^2
+# for the unfolding's second singular value s_1.  The Gram matrix of a unit
+# vector's unfolding has norm <= 1, so eigvalsh errs by ~1e-16 and a candidate
+# the SVD accepts (s_1 <= 1e-9) has lambda_2 <= ~1e-15, far below this screen:
+# it rejects only candidates whose SVD would reject them too.
+_GRAM_SCREEN = 1e-6
+
+
 def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
     """Smallest group of systems containing the targets whose joint state factors out.
 
@@ -451,7 +459,12 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
     increasing size, then of sorted positions, and looks only at systems that
     have interacted with the targets: the account is a product across its
     blocks, so a factoring group that reaches outside the targets' blocks
-    leaves a smaller one inside them.  Those blocks together always factor.
+    leaves a smaller one inside them.  Those blocks together always factor,
+    so the last group goes straight to the SVD.  Any other group is first
+    screened by the second eigenvalue of the smaller Gram matrix of its
+    unfolding (at most 16x16 for qubit labs); one clearly entangled with the
+    rest is dropped without an SVD.  A group that passes is decided, and its
+    factor taken, by the SVD alone, so the screen changes no amplitude.
     """
     n = len(account.names)
     target_idx = tuple(account.position(t) for t in targets)
@@ -469,6 +482,10 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
         if block.shape[1] == 1:
             factor = block[:, 0]
         else:
+            if len(extra) < len(pool) and block.shape[0] > 1:
+                wide = block if block.shape[0] <= block.shape[1] else block.T
+                if np.linalg.eigvalsh(wide @ wide.conj().T)[-2] > _GRAM_SCREEN:
+                    continue
             u, s, _ = np.linalg.svd(block, full_matrices=False)
             if s.size > 1 and s[1] > 1e-9:
                 continue
@@ -493,8 +510,40 @@ def _require_active(account: _Account, context: str) -> None:
             f"({account.broken})")
 
 
+class _Premeasurements:
+    """The premeasurement unitaries of one run, each built once.
+
+    Two measure events share a unitary when their family bases and the
+    measurers' ready states have the same bytes.  A unitary is dropped after
+    the last event that uses it, so a run whose setups never repeat holds
+    one at a time.
+    """
+
+    def __init__(self, sc: Scenario):
+        self._sc = sc
+        self._keys = {idx: (ev.family.basis.tobytes(),
+                            np.asarray(sc.preparations[ev.observer], dtype=complex).tobytes())
+                      for idx, ev in enumerate(sc.events) if isinstance(ev, MeasureEvent)}
+        self._last_use = {key: idx for idx, key in self._keys.items()}
+        self._built: dict[tuple[bytes, bytes], np.ndarray] = {}
+
+    def take(self, idx: int) -> np.ndarray:
+        """The dense unitary of measure event ``idx``; the measurer's prepared
+        state is the pointer's ready state."""
+        key = self._keys[idx]
+        u_pre = self._built.pop(key, None)
+        if u_pre is None:
+            ev = self._sc.events[idx]
+            ready = self._sc.preparations[ev.observer]
+            setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
+            u_pre = premeasurement_unitary(setup).matrix
+        if self._last_use[key] > idx:
+            self._built[key] = u_pre
+        return u_pre
+
+
 def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
-                 report: Report) -> None:
+                 report: Report, premeasurements: _Premeasurements) -> None:
     measurer = accounts[ev.observer]
     _require_active(measurer, f"event {idx}: {ev.observer} measuring {ev.target}")
 
@@ -520,11 +569,8 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         "entangled": [],
     }
 
-    # entangling description, relative to every non-participating observer;
-    # the measurer's prepared state is the pointer's ready state
-    ready = sc.preparations[ev.observer]
-    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
-    u_pre = premeasurement_unitary(setup).matrix
+    # entangling description, relative to every non-participating observer
+    u_pre = premeasurements.take(idx)
     for obs in sc.observers:
         if obs in (ev.observer, ev.target):
             continue
@@ -652,13 +698,14 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
         names = tuple(s.name for s in sc.systems if s.name != obs)
         dims = tuple(s.dim for s in sc.systems if s.name != obs)
         amps = np.array([1.0], dtype=complex)
-        for n in names:
-            amps = np.kron(amps, sc.preparations[n])
+        for n in names:  # the products np.kron forms, without its reshapes
+            amps = np.multiply.outer(amps, sc.preparations[n]).ravel()
         accounts[obs] = _Account(obs, names, dims, amps)
 
+    premeasurements = _Premeasurements(sc)
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
-            _run_measure(sc, ev, idx, accounts, rng, report)
+            _run_measure(sc, ev, idx, accounts, rng, report, premeasurements)
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):

@@ -14,13 +14,17 @@ from relaqm.errors import (
     ValidationError,
 )
 from relaqm import scenario as scenario_module
-from relaqm.hilbert import _apply_on_factors
-from relaqm.measurement import _born_weights, _completion, correlation_operator, standard_setup
+from relaqm.hilbert import Operator, StateVector, _apply_on_factors, random_hermitian, random_state
+from relaqm.measurement import (MeasurementSetup, _born_weights, _completion,
+                                correlation_operator, standard_setup)
 from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
+    EvolveEvent,
     MeasureEvent,
     QueryEvent,
     Report,
+    Scenario,
+    SystemDecl,
     emit_report,
     fixture_path,
     lint_report,
@@ -460,7 +464,8 @@ def test_cluster_search_cost_follows_the_entangled_blocks(monkeypatch):
     """k labs {S, F, W} and a bystander B: F measures S, then W measures F.
 
     S starts in |0>, so each Fourier measurement entangles S with F.  The SVD
-    count must not grow with the 2^n subsets of the whole account.
+    count must not grow with the 2^n subsets of the whole account, and the
+    Gram screen leaves one SVD per search: the one that finds the cluster.
     """
     labs = 5
     names = [f"{x}{i}" for i in range(labs) for x in "SFW"]
@@ -486,4 +491,198 @@ def test_cluster_search_cost_follows_the_entangled_blocks(monkeypatch):
     report = run(sc)
     entangled = sum(len(entry["entangled"]) for entry in report.entries)
     assert entangled == 75
-    assert len(calls) <= 2 * entangled
+    assert len(calls) <= entangled
+
+
+def _run_against_the_oracle(sc):
+    """Run ``sc`` with every cluster search checked against the exhaustive
+    scan, which decides every group by its SVD; returns the report and the
+    number of searches."""
+    screened = scenario_module._minimal_cluster
+    searches = []
+
+    def both(account, targets):
+        names, amps = screened(account, targets)
+        ref_names, ref_amps = _exhaustive_cluster(account, targets)
+        assert names == ref_names
+        assert np.array_equal(amps, ref_amps)
+        assert amps.tobytes() == ref_amps.tobytes()
+        searches.append(targets)
+        return names, amps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_minimal_cluster", both)
+        report = run(sc)
+    return report, len(searches)
+
+
+def _scenario(dims: dict, observers, preparations: dict, events, seed=0) -> Scenario:
+    return Scenario(name="shortcuts", systems=tuple(SystemDecl(n, d) for n, d in dims.items()),
+                    observers=tuple(observers), preparations=preparations,
+                    events=tuple(events), seed=seed)
+
+
+def _family(kind: str, dim: int, rng) -> CompleteFamily:
+    if kind == "haar":
+        return CompleteFamily.random(dim, rng)
+    return getattr(CompleteFamily, kind)(dim)
+
+
+@st.composite
+def random_scenarios(draw):
+    """3-6 systems of dims 1-3, two or more observers.  Measurements chain
+    pointers into targets (merging blocks), the measurer's collapse
+    disentangles its own account, and evolutions and state queries fall in
+    between.  No event touches an account that a measurement broke."""
+    n = draw(st.integers(3, 6))
+    dims = [draw(st.integers(2, 3)) for _ in range(2)]
+    dims += draw(st.lists(st.integers(1, 3), min_size=n - 2, max_size=n - 2))
+    names = [f"X{i}" for i in range(n)]
+    dim = dict(zip(names, dims))
+    observers = names[:2] + [x for x in names[2:]
+                             if dim[x] >= 2 and draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    preparations = {x: (np.eye(dim[x], dtype=complex)[0] if draw(st.booleans())
+                        else random_state(dim[x], rng)) for x in names}
+
+    broken: set[str] = set()
+    events = []
+    for _ in range(draw(st.integers(1, 12))):
+        active = [o for o in observers if o not in broken]
+        kind = draw(st.sampled_from(["measure", "measure", "evolve", "state"]))
+        if kind == "measure":
+            pairs = [(o, t) for o in active for t in names if t != o and dim[t] <= dim[o]]
+            if not pairs:
+                continue
+            o, t = draw(st.sampled_from(pairs))
+            family = draw(st.sampled_from(["computational", "fourier", "haar"]))
+            events.append(MeasureEvent(o, t, _family(family, dim[t], rng)))
+            if t in observers:
+                broken.add(t)
+        elif kind == "evolve":
+            t = draw(st.sampled_from(names))
+            h = Operator(random_hermitian(dim[t], rng), (dim[t],))
+            events.append(EvolveEvent(t, h, float(rng.uniform(0.1, 2.0)), "matrix"))
+        else:
+            if not active:
+                continue
+            r = draw(st.sampled_from(active))
+            of = draw(st.lists(st.sampled_from([x for x in names if x != r]),
+                               min_size=1, max_size=2, unique=True))
+            events.append(QueryEvent("state", {"of": tuple(of), "relative_to": r}))
+    seed = draw(st.integers(0, 2**16))
+    return _scenario(dim, observers, preparations, events, seed)
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_scenarios())
+def test_screened_cluster_search_matches_every_candidate_svd(sc):
+    report, _ = _run_against_the_oracle(sc)
+    assert report.violations == []
+
+
+def test_a_one_dimensional_target_passes_the_screen():
+    """A dim-1 target's unfolding has one row, so its Gram matrix is 1x1 and
+    has no second eigenvalue; it is decided by the SVD alone."""
+    dims = {"X": 1, "F": 2, "W": 2, "Y": 2}
+    preps = {"X": np.array([1j]), "F": np.array([1, 0], complex),
+             "W": np.array([1, 0], complex), "Y": np.array([0.6, 0.8j])}
+    events = [MeasureEvent("F", "X", CompleteFamily.computational(1)),
+              MeasureEvent("F", "Y", CompleteFamily.fourier(2)),
+              QueryEvent("state", {"of": ("X",), "relative_to": "W"}),
+              QueryEvent("state", {"of": ("X", "Y"), "relative_to": "W"})]
+    report, searches = _run_against_the_oracle(_scenario(dims, ["F", "W"], preps, events))
+    assert searches == 4
+    assert report.entries[2]["state"]["systems"] == ["X"]
+    assert report.entries[2]["defined"]
+
+
+def _labs_scenario(case: int) -> Scenario:
+    """4 labs x {S, F, W}, every system an observer ready in |0> except the
+    random S: F measures S (fourier), F evolves, W measures F (labs 0, 2) or
+    the previous lab's S (labs 1, 3); then a state query per lab."""
+    rng = np.random.default_rng([3, case])
+    names = [f"{role}{lab}" for lab in range(4) for role in "SFW"]
+    preps = {x: np.array([1, 0], complex) for x in names}
+    events = []
+    for lab in range(4):
+        preps[f"S{lab}"] = random_state(2, rng)
+        events.append(MeasureEvent(f"F{lab}", f"S{lab}", CompleteFamily.fourier(2)))
+        h = Operator(random_hermitian(2, rng), (2,))
+        events.append(EvolveEvent(f"F{lab}", h, float(rng.uniform(0.1, 2.0)), "matrix"))
+        target = f"F{lab}" if lab % 2 == 0 else f"S{lab - 1}"
+        events.append(MeasureEvent(f"W{lab}", target, CompleteFamily.computational(2)))
+    events += [QueryEvent("state", {"of": (f"S{lab}",), "relative_to": f"W{(lab + 2) % 4}"})
+               for lab in range(4)]
+    return _scenario({x: 2 for x in names}, names, preps, events, seed=case)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _per_event(self, idx):
+    """One unitary built for every measure event, with nothing kept."""
+    sc = self._sc
+    ev = sc.events[idx]
+    ready = sc.preparations[ev.observer]
+    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
+    return scenario_module.premeasurement_unitary(setup).matrix
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_labs_build_two_premeasurements_for_eight_measure_events(monkeypatch, case):
+    sc = _labs_scenario(case)
+    assert sum(isinstance(ev, MeasureEvent) for ev in sc.events) == 8
+    builds = _counting(monkeypatch, scenario_module, "premeasurement_unitary")
+    shared = emit_report(run(sc), "structured")
+    assert len(builds) == 2
+    monkeypatch.setattr(scenario_module._Premeasurements, "take", _per_event)
+    assert emit_report(run(sc), "structured") == shared
+    assert len(builds) == 2 + 8
+
+
+def test_observers_with_different_ready_states_share_no_premeasurement(monkeypatch):
+    dims = {"S": 2, "O": 2, "P": 2, "Q": 2}
+    preps = {"S": np.array([0.6, 0.8], complex), "O": np.array([1, 0], complex),
+             "P": np.array([0, 1], complex), "Q": np.array([1, 0], complex)}
+    family = CompleteFamily.computational(2)
+    events = [MeasureEvent("O", "S", family), MeasureEvent("P", "S", family),
+              MeasureEvent("O", "S", family)]
+    sc = _scenario(dims, ["O", "P", "Q"], preps, events)
+    builds = _counting(monkeypatch, scenario_module, "premeasurement_unitary")
+    shared = emit_report(run(sc), "structured")
+    assert len(builds) == 2
+    monkeypatch.setattr(scenario_module._Premeasurements, "take", _per_event)
+    assert emit_report(run(sc), "structured") == shared
+
+
+def test_a_premeasurement_is_dropped_after_its_last_use():
+    """Setups that never repeat hold one unitary at a time; a repeated one is
+    kept until its last event."""
+    fourier, computational = CompleteFamily.fourier(2), CompleteFamily.computational(2)
+    ready = np.array([1, 0], complex)
+    dims = {"S": 2, "O": 2, "P": 2}
+    preps = {"S": np.array([0.6, 0.8], complex), "O": ready, "P": ready}
+    events = [MeasureEvent("O", "S", fourier), MeasureEvent("P", "S", computational),
+              MeasureEvent("O", "S", fourier)]
+    sc = _scenario(dims, ["O", "P"], preps, events)
+    held = scenario_module._Premeasurements(sc)
+    sizes = []
+    for idx in range(len(sc.events)):
+        held.take(idx)
+        sizes.append(len(held._built))
+    assert sizes == [1, 1, 0]
+    once = _scenario(dims, ["O", "P"], preps, events[:2])
+    held = scenario_module._Premeasurements(once)
+    for idx in range(len(once.events)):
+        held.take(idx)
+        assert held._built == {}
