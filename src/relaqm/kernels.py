@@ -336,8 +336,7 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, floa
         improved = False
         for _attempt in range(8):
             step = np.linalg.solve(jac.T @ jac + lam * np.eye(n_par), -jac.T @ resid)
-            # einsum, not tensordot: on a busy host the threaded BLAS product stalls for ms
-            h = np.einsum("a,aij->ij", step, basis)
+            h = np.tensordot(step, basis, axes=(0, 0))
             w, v = np.linalg.eigh(h)
             u_new = (v * np.exp(-1j * w)) @ v.conj().T @ u
             resid_new = (np.abs(u_new) ** 2 - p).ravel()

@@ -73,6 +73,8 @@ __all__ = [
 
 # A measure event builds its premeasurement as a dense (d_s·d_o)^2 unitary
 # with an O((d_s·d_o)^3) completion: at 1024, 16 MiB and 10-13 s on a 2-core Xeon.
+# A run holds one such unitary per distinct setup still waiting for its last
+# use (see _Premeasurements), so interleaved setups hold several at once.
 _MAX_PREMEASUREMENT_DIM = 1024
 
 _BUILTIN_HAMILTONIANS = {
@@ -516,7 +518,8 @@ class _Premeasurements:
     Two measure events share a unitary when their family bases and the
     measurers' ready states have the same bytes.  A unitary is dropped after
     the last event that uses it, so a run whose setups never repeat holds
-    one at a time.
+    one at a time, and one with interleaved setups (A B A B) holds one per
+    distinct setup still waiting for its last use.
     """
 
     def __init__(self, sc: Scenario):

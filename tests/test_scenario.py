@@ -686,3 +686,15 @@ def test_a_premeasurement_is_dropped_after_its_last_use():
     for idx in range(len(once.events)):
         held.take(idx)
         assert held._built == {}
+    setups = {fourier: "A", computational: "B"}
+    interleaved = [MeasureEvent("O", "S", fourier), MeasureEvent("P", "S", computational)] * 2
+    sc = _scenario(dims, ["O", "P"], preps, interleaved)
+    held = scenario_module._Premeasurements(sc)
+    sizes = []
+    for idx, ev in enumerate(sc.events):
+        held.take(idx)
+        sizes.append(len(held._built))
+        seen = {setups[e.family] for e in sc.events[:idx + 1]}
+        pending = seen & {setups[e.family] for e in sc.events[idx + 1:]}
+        assert len(held._built) <= len(pending)
+    assert sizes == [1, 2, 1, 0]
