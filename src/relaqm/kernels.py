@@ -374,9 +374,7 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
     is declared only when every start stalls above 1e-2.
     """
     p = np.asarray(p, dtype=float)
-    report = verify_double_stochastic(p)
-    if not report.ok(OPT_ATOL):
-        raise NotDoublyStochastic(f"input violates double stochasticity: {report}")
+    _check_double_stochastic(p)
     dim = p.shape[0]
     root = np.sqrt(np.maximum(p, 0.0))
     stop = 1e-12

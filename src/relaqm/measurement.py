@@ -16,6 +16,8 @@ statistics, which :func:`consistency_check` verifies by sampling.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,20 +178,28 @@ def premeasurement_unitary(setup: MeasurementSetup) -> Operator:
     Only the action on the physical subspace span{|i> ⊗ ready} is fixed;
     both domain and image are extended to full bases by deterministic
     Gram-Schmidt sweeps and paired in order.
+
+    The unitary depends only on the family basis and the ready state, so
+    setups with the same bytes share one read-only operator.  The two most
+    recently used are kept, 32 MiB at d_s·d_o = 1024; a third setup evicts
+    the older one, and it is rebuilt on its next use.
     """
-    d_s, d_o = setup.system_dim, setup.pointer_dim
-    marks = np.eye(d_o, dtype=complex)
-    domain = np.column_stack([
-        np.kron(setup.system_basis.column(i), setup.pointer_ready.amplitudes)
-        for i in range(d_s)
-    ])
-    image = np.column_stack([
-        np.kron(setup.system_basis.column(i), marks[i]) for i in range(d_s)
-    ])
-    domain_full = _extend_to_basis(domain)
-    image_full = _extend_to_basis(image)
-    u = image_full @ domain_full.conj().T
-    return Operator(u, (d_s, d_o))
+    return _premeasurement(setup.system_basis.basis.tobytes(),
+                           setup.pointer_ready.amplitudes.tobytes())
+
+
+@functools.lru_cache(maxsize=2)
+def _premeasurement(basis_bytes: bytes, ready_bytes: bytes) -> Operator:
+    """:func:`premeasurement_unitary` of the complex family basis (C order)
+    and ready state with these bytes."""
+    ready = np.frombuffer(ready_bytes, dtype=complex)
+    basis = np.frombuffer(basis_bytes, dtype=complex)
+    basis = basis.reshape(math.isqrt(basis.size), -1)
+    domain = np.column_stack([np.kron(b, ready) for b in basis.T])
+    marks = np.eye(ready.size, dtype=complex)
+    image = np.column_stack([np.kron(b, mark) for b, mark in zip(basis.T, marks)])
+    u = _extend_to_basis(image) @ _extend_to_basis(domain).conj().T
+    return Operator(u, (len(basis), ready.size))
 
 
 def correlation_operator(setup: MeasurementSetup) -> Operator:

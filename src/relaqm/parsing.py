@@ -9,6 +9,7 @@ are documented, and which calls them through its own module globals.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -45,9 +46,21 @@ def parse_yaml(text: str):
         raise ParseError(f"not a well-formed document: {exc}") from exc
 
 
+def _exponent_hint(raw) -> str:
+    """YAML 1.1 reads a number with an exponent only when its mantissa has a
+    dot and its exponent a sign, so ``1e-3`` and ``1.0e5`` arrive as strings."""
+    try:
+        if isinstance(raw, str) and "e" in raw.lower() and math.isfinite(float(raw)):
+            return ("; YAML 1.1 reads an exponent as a number only after a dot and with a "
+                    "sign: write 1.0e-3 or 1.0e+5")
+    except ValueError:
+        pass
+    return ""
+
+
 def _real_value(raw, where: str, expected: str = "a number or an [re, im] pair") -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ParseError(f"{where}: expected {expected}, got {raw!r}")
+        raise ParseError(f"{where}: expected {expected}, got {raw!r}{_exponent_hint(raw)}")
     if not abs(raw) <= sys.float_info.max:  # NaN, ±inf, or an integer past the float range
         raise ParseError(f"{where}: {raw!r} is not a finite number")
     return float(raw)

@@ -73,8 +73,8 @@ __all__ = [
 
 # A measure event builds its premeasurement as a dense (d_s·d_o)^2 unitary
 # with an O((d_s·d_o)^3) completion: at 1024, 16 MiB and 10-13 s on a 2-core Xeon.
-# A run holds one such unitary per distinct setup still waiting for its last
-# use (see _Premeasurements), so interleaved setups hold several at once.
+# measurement.premeasurement_unitary keeps the two most recently used, so a
+# process holds at most 32 MiB of them, whatever the number of setups.
 _MAX_PREMEASUREMENT_DIM = 1024
 
 _BUILTIN_HAMILTONIANS = {
@@ -512,41 +512,8 @@ def _require_active(account: _Account, context: str) -> None:
             f"({account.broken})")
 
 
-class _Premeasurements:
-    """The premeasurement unitaries of one run, each built once.
-
-    Two measure events share a unitary when their family bases and the
-    measurers' ready states have the same bytes.  A unitary is dropped after
-    the last event that uses it, so a run whose setups never repeat holds
-    one at a time, and one with interleaved setups (A B A B) holds one per
-    distinct setup still waiting for its last use.
-    """
-
-    def __init__(self, sc: Scenario):
-        self._sc = sc
-        self._keys = {idx: (ev.family.basis.tobytes(),
-                            np.asarray(sc.preparations[ev.observer], dtype=complex).tobytes())
-                      for idx, ev in enumerate(sc.events) if isinstance(ev, MeasureEvent)}
-        self._last_use = {key: idx for idx, key in self._keys.items()}
-        self._built: dict[tuple[bytes, bytes], np.ndarray] = {}
-
-    def take(self, idx: int) -> np.ndarray:
-        """The dense unitary of measure event ``idx``; the measurer's prepared
-        state is the pointer's ready state."""
-        key = self._keys[idx]
-        u_pre = self._built.pop(key, None)
-        if u_pre is None:
-            ev = self._sc.events[idx]
-            ready = self._sc.preparations[ev.observer]
-            setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
-            u_pre = premeasurement_unitary(setup).matrix
-        if self._last_use[key] > idx:
-            self._built[key] = u_pre
-        return u_pre
-
-
 def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
-                 report: Report, premeasurements: _Premeasurements) -> None:
+                 report: Report) -> None:
     measurer = accounts[ev.observer]
     _require_active(measurer, f"event {idx}: {ev.observer} measuring {ev.target}")
 
@@ -572,8 +539,11 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         "entangled": [],
     }
 
-    # entangling description, relative to every non-participating observer
-    u_pre = premeasurements.take(idx)
+    # entangling description, relative to every non-participating observer;
+    # the measurer's prepared state is the pointer's ready state
+    ready = sc.preparations[ev.observer]
+    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
+    u_pre = premeasurement_unitary(setup).matrix
     for obs in sc.observers:
         if obs in (ev.observer, ev.target):
             continue
@@ -705,10 +675,9 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
             amps = np.multiply.outer(amps, sc.preparations[n]).ravel()
         accounts[obs] = _Account(obs, names, dims, amps)
 
-    premeasurements = _Premeasurements(sc)
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
-            _run_measure(sc, ev, idx, accounts, rng, report, premeasurements)
+            _run_measure(sc, ev, idx, accounts, rng, report)
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):

@@ -1,5 +1,7 @@
 """The two accounts of one measurement and the pointer-correlation projector."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from relaqm.hilbert import (
 )
 from relaqm.measurement import (
     MeasurementSetup,
+    _premeasurement,
     collapse_description,
     completion_probability,
     consistency_check,
@@ -140,6 +143,35 @@ def test_entangling_equals_premeasurement_on_random_states():
                             tensor(psi, setup.pointer_ready))
         np.testing.assert_allclose(via_map.amplitudes, via_unitary.amplitudes,
                                    atol=1e-9)
+
+
+def test_premeasurement_is_shared_between_equal_setups():
+    """Setups whose basis and ready state have equal bytes get one read-only
+    operator, bit-equal to an unmemoised build; any other setup gets another."""
+    fourier = CompleteFamily.fourier(3)
+    first = premeasurement_unitary(MeasurementSetup(fourier, basis_state(4, 0, "P")))
+    again = premeasurement_unitary(MeasurementSetup(
+        CompleteFamily(fourier.basis.copy(), "copy"), StateVector(np.eye(4)[0], (4,), "Q")))
+    assert again is first
+    assert not first.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        first.matrix[0, 0] = 0
+    unmemoised = _premeasurement.__wrapped__(fourier.basis.tobytes(),
+                                             basis_state(4, 0, "P").amplitudes.tobytes())
+    assert unmemoised is not first
+    assert np.array_equal(unmemoised.matrix, first.matrix)
+    assert unmemoised.dim_factors == first.dim_factors == (3, 4)
+    other_family = premeasurement_unitary(MeasurementSetup(
+        CompleteFamily.computational(3), basis_state(4, 0, "P")))
+    other_ready = premeasurement_unitary(MeasurementSetup(fourier, basis_state(4, 1, "P")))
+    assert other_family is not first and other_ready is not first
+    assert not np.array_equal(other_family.matrix, first.matrix)
+    assert not np.array_equal(other_ready.matrix, first.matrix)
+
+
+def test_premeasurement_unitary_is_a_plain_function():
+    """The benchmark's tracer wraps plain functions only, one span per call."""
+    assert inspect.isfunction(premeasurement_unitary)
 
 
 def test_correlation_operator_defining_relations():

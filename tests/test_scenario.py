@@ -13,10 +13,10 @@ from relaqm.errors import (
     ParseError,
     ValidationError,
 )
+from relaqm import measurement as measurement_module
 from relaqm import scenario as scenario_module
-from relaqm.hilbert import Operator, StateVector, _apply_on_factors, random_hermitian, random_state
-from relaqm.measurement import (MeasurementSetup, _born_weights, _completion,
-                                correlation_operator, standard_setup)
+from relaqm.hilbert import Operator, _apply_on_factors, random_hermitian, random_state
+from relaqm.measurement import _born_weights, _completion, correlation_operator, standard_setup
 from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
     EvolveEvent,
@@ -617,37 +617,30 @@ def _labs_scenario(case: int) -> Scenario:
     return _scenario({x: 2 for x in names}, names, preps, events, seed=case)
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def _builds(sc: Scenario) -> tuple[int, str]:
+    """Premeasurement unitaries built by a run of ``sc``, and its report."""
+    before = measurement_module._premeasurement.cache_info().misses
+    emitted = emit_report(run(sc), "structured")
+    return measurement_module._premeasurement.cache_info().misses - before, emitted
 
 
-def _per_event(self, idx):
-    """One unitary built for every measure event, with nothing kept."""
-    sc = self._sc
-    ev = sc.events[idx]
-    ready = sc.preparations[ev.observer]
-    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
-    return scenario_module.premeasurement_unitary(setup).matrix
+def _unmemoised(monkeypatch, sc: Scenario) -> str:
+    """The report of ``sc`` with one unitary built for every measure event."""
+    with monkeypatch.context() as mp:
+        mp.setattr(measurement_module, "_premeasurement",
+                   measurement_module._premeasurement.__wrapped__)
+        return emit_report(run(sc), "structured")
 
 
 @pytest.mark.parametrize("case", [0, 1])
 def test_labs_build_two_premeasurements_for_eight_measure_events(monkeypatch, case):
     sc = _labs_scenario(case)
     assert sum(isinstance(ev, MeasureEvent) for ev in sc.events) == 8
-    builds = _counting(monkeypatch, scenario_module, "premeasurement_unitary")
-    shared = emit_report(run(sc), "structured")
-    assert len(builds) == 2
-    monkeypatch.setattr(scenario_module._Premeasurements, "take", _per_event)
-    assert emit_report(run(sc), "structured") == shared
-    assert len(builds) == 2 + 8
+    measurement_module._premeasurement.cache_clear()
+    built, shared = _builds(sc)
+    assert built == 2
+    assert _builds(sc) == (0, shared)
+    assert _unmemoised(monkeypatch, sc) == shared
 
 
 def test_observers_with_different_ready_states_share_no_premeasurement(monkeypatch):
@@ -658,43 +651,21 @@ def test_observers_with_different_ready_states_share_no_premeasurement(monkeypat
     events = [MeasureEvent("O", "S", family), MeasureEvent("P", "S", family),
               MeasureEvent("O", "S", family)]
     sc = _scenario(dims, ["O", "P", "Q"], preps, events)
-    builds = _counting(monkeypatch, scenario_module, "premeasurement_unitary")
-    shared = emit_report(run(sc), "structured")
-    assert len(builds) == 2
-    monkeypatch.setattr(scenario_module._Premeasurements, "take", _per_event)
-    assert emit_report(run(sc), "structured") == shared
+    measurement_module._premeasurement.cache_clear()
+    built, shared = _builds(sc)
+    assert built == 2
+    assert _unmemoised(monkeypatch, sc) == shared
 
 
-def test_a_premeasurement_is_dropped_after_its_last_use():
-    """Setups that never repeat hold one unitary at a time; a repeated one is
-    kept until its last event."""
+def test_interleaved_setups_build_each_premeasurement_once(monkeypatch):
+    """A B A B builds A and B once each; the memo holds both."""
     fourier, computational = CompleteFamily.fourier(2), CompleteFamily.computational(2)
     ready = np.array([1, 0], complex)
     dims = {"S": 2, "O": 2, "P": 2}
     preps = {"S": np.array([0.6, 0.8], complex), "O": ready, "P": ready}
-    events = [MeasureEvent("O", "S", fourier), MeasureEvent("P", "S", computational),
-              MeasureEvent("O", "S", fourier)]
-    sc = _scenario(dims, ["O", "P"], preps, events)
-    held = scenario_module._Premeasurements(sc)
-    sizes = []
-    for idx in range(len(sc.events)):
-        held.take(idx)
-        sizes.append(len(held._built))
-    assert sizes == [1, 1, 0]
-    once = _scenario(dims, ["O", "P"], preps, events[:2])
-    held = scenario_module._Premeasurements(once)
-    for idx in range(len(once.events)):
-        held.take(idx)
-        assert held._built == {}
-    setups = {fourier: "A", computational: "B"}
     interleaved = [MeasureEvent("O", "S", fourier), MeasureEvent("P", "S", computational)] * 2
     sc = _scenario(dims, ["O", "P"], preps, interleaved)
-    held = scenario_module._Premeasurements(sc)
-    sizes = []
-    for idx, ev in enumerate(sc.events):
-        held.take(idx)
-        sizes.append(len(held._built))
-        seen = {setups[e.family] for e in sc.events[:idx + 1]}
-        pending = seen & {setups[e.family] for e in sc.events[idx + 1:]}
-        assert len(held._built) <= len(pending)
-    assert sizes == [1, 2, 1, 0]
+    measurement_module._premeasurement.cache_clear()
+    built, shared = _builds(sc)
+    assert built == 2
+    assert _unmemoised(monkeypatch, sc) == shared

@@ -360,6 +360,32 @@ def test_golden_report_with_either_loader(loader, capsys):
     assert capsys.readouterr().out == fixture_path("wigner_friend.report.json").read_text()
 
 
+_EXPONENTS = ("systems: [{{name: S, dim: 2}}, {{name: O, dim: 2}}]\nobservers: [O]\n"
+              "preparations: {{S: [{amplitude}, 0.0], O: [1.0, 0.0]}}\n"
+              "events: [{{evolve: {{target: S, hamiltonian: pauli_x, t: {t}}}}}]\n")
+
+
+@pytest.mark.parametrize("where, written, fixed", [
+    ("events[0].evolve", {"t": "1e-3"}, {"t": "1.0e-3"}),
+    ("preparations.S", {"amplitude": "1E0"}, {"amplitude": "1.0e+0"}),
+], ids=["duration", "amplitude"])
+def test_exponents_that_yaml_reads_as_strings_get_a_hint(loader, tmp_path, capsys,
+                                                         where, written, fixed):
+    """YAML 1.1 needs a dot and a signed exponent; without them the value is a
+    string, still refused (exit 2), now with the spelling that parses."""
+    doc = tmp_path / "input.yaml"
+    doc.write_text(_EXPONENTS.format(**{"amplitude": "1.0", "t": "0.5", **written}))
+    assert main(["run", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: expected a number" in err
+    assert err.rstrip().endswith("write 1.0e-3 or 1.0e+5")
+    doc.write_text(_EXPONENTS.format(**{"amplitude": "1.0", "t": "0.5", **fixed}))
+    assert main(["run", str(doc)]) == 0
+    doc.write_text(_EXPONENTS.format(amplitude="1.0", t="soon"))
+    assert main(["run", str(doc)]) == 2
+    assert "1.0e+5" not in capsys.readouterr().err
+
+
 def _outcome(text: str) -> str:
     try:
         return emit_report(run(parse_scenario(text)), "structured")
