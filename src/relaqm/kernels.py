@@ -32,6 +32,7 @@ from .errors import (
     IndexOutOfRange,
     MissingUnitary,
     NotDoublyStochastic,
+    PreconditionViolated,
 )
 from .hilbert import ATOL, OPT_ATOL, orthonormality_defect
 
@@ -131,39 +132,37 @@ def kernel_from_families(b: CompleteFamily, c: CompleteFamily) -> TransitionKern
     """Kernel for measuring family b given maximal information in family c.
 
     U = B†C is the change-of-basis matrix, so U[i, j] = <b_i|c_j> and
-    p[i, j] = |<b_i|c_j>|^2.
+    p[i, j] = |<b_i|c_j>|^2.  Each family is unitary within ATOL, but U, a
+    product of two, can miss it; the kernel's own check then fails as
+    :class:`PreconditionViolated`, naming the pair and the check.
     """
     if b.dim != c.dim:
         raise DimensionMismatch(f"family dims differ: {b.dim} vs {c.dim}")
     u = b.basis.conj().T @ c.basis
-    return TransitionKernel(np.abs(u) ** 2, to_family=b.label,
-                            from_family=c.label, U=u)
+    try:
+        return TransitionKernel(np.abs(u) ** 2, to_family=b.label,
+                                from_family=c.label, U=u)
+    except ValueError as exc:
+        raise PreconditionViolated(f"{b.label} <- {c.label}: {exc}") from exc
 
 
-def _unitary_of(kernel_or_u) -> np.ndarray:
-    if isinstance(kernel_or_u, TransitionKernel):
-        if kernel_or_u.U is None:
-            raise MissingUnitary(
-                "this kernel carries probabilities only; composite probabilities "
-                "need the transition amplitudes")
-        return kernel_or_u.U
-    return np.asarray(kernel_or_u, dtype=complex)
-
-
-def _probabilities_of(kernel_or_p) -> np.ndarray:
-    if isinstance(kernel_or_p, TransitionKernel):
-        return kernel_or_p.p
-    return np.asarray(kernel_or_p, dtype=float)
-
-
-def _check_indices(dim: int, i: int, jk: tuple[int, int]) -> tuple[int, int]:
+def _row_pair(kernel_or_matrix, i: int, jk: tuple[int, int],
+              unitary: bool) -> tuple[float, float]:
+    """p[i, j] and p[i, k], from a kernel's p or from a raw matrix: |U|^2 where
+    the caller takes a unitary, the matrix itself where it takes p."""
+    if isinstance(kernel_or_matrix, TransitionKernel):
+        p = kernel_or_matrix.p
+    elif unitary:
+        p = np.abs(np.asarray(kernel_or_matrix, dtype=complex)) ** 2
+    else:
+        p = np.asarray(kernel_or_matrix, dtype=float)
     j, k = jk
     for name, idx in (("i", i), ("j", j), ("k", k)):
-        if not 0 <= idx < dim:
-            raise IndexOutOfRange(f"index {name}={idx} outside [0, {dim})")
+        if not 0 <= idx < p.shape[0]:
+            raise IndexOutOfRange(f"index {name}={idx} outside [0, {p.shape[0]})")
     if j == k:
         raise IndexOutOfRange("composite question needs two distinct atoms")
-    return j, k
+    return p[i, j], p[i, k]
 
 
 def composite_probability(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
@@ -172,14 +171,13 @@ def composite_probability(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
 
     Coherent two-leg chain: each closed loop i -> m -> i contributes the
     forward amplitude U[i, m] times the reverse amplitude (the conjugate,
-    since the reverse kernel carries U†), and the legs through j and k add
-    before squaring.  Equals the projective-sequence value
+    since the reverse kernel carries U†), that is p[i, m], and the legs
+    through j and k add before squaring: (p[i, j] + p[i, k])^2, which needs
+    only p.  Equals the projective-sequence value
     ``|| P_i (P_j + P_k) |b_i> ||^2``.
     """
-    u = _unitary_of(kernel_or_u)
-    j, k = _check_indices(u.shape[0], i, jk)
-    amplitude = u[i, j] * np.conj(u[i, j]) + u[i, k] * np.conj(u[i, k])
-    return float(np.abs(amplitude) ** 2)
+    pj, pk = _row_pair(kernel_or_u, i, jk, unitary=True)
+    return float((pj + pk) ** 2)
 
 
 def classical_composite_probability(kernel_or_p, i: int, jk: tuple[int, int]) -> float:
@@ -189,16 +187,15 @@ def classical_composite_probability(kernel_or_p, i: int, jk: tuple[int, int]) ->
     contributed independently; the difference from
     :func:`composite_probability` is the interference term.
     """
-    p = _probabilities_of(kernel_or_p)
-    j, k = _check_indices(p.shape[0], i, jk)
-    return float(p[i, j] ** 2 + p[i, k] ** 2)
+    pj, pk = _row_pair(kernel_or_p, i, jk, unitary=False)
+    return float(pj ** 2 + pk ** 2)
 
 
 def interference_gap(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
-    """Composite minus classical probability; zero for permutation kernels."""
-    u = _unitary_of(kernel_or_u)
-    return composite_probability(u, i, jk) - classical_composite_probability(
-        np.abs(u) ** 2, i, jk)
+    """Composite minus classical probability, 2 p[i,j] p[i,k]; zero for
+    permutation kernels."""
+    pj, pk = _row_pair(kernel_or_u, i, jk, unitary=True)
+    return float((pj + pk) ** 2 - (pj ** 2 + pk ** 2))
 
 
 def compose(k1: TransitionKernel, k2: TransitionKernel) -> TransitionKernel:

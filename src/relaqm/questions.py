@@ -91,9 +91,6 @@ class Question:
     def is_always(self) -> bool:
         return self.rank == self.ambient_dim
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     @classmethod
     def never(cls, dim: int) -> "Question":
         return cls(np.zeros((dim, 0), dtype=complex))
@@ -225,9 +222,6 @@ class CompleteFamily:
 
     def atom(self, i: int) -> Question:
         return Question(self.basis[:, i:i + 1])
-
-    def state(self, i: int, relative_to: str) -> StateVector:
-        return StateVector(self.basis[:, i], (self.dim,), relative_to)
 
     def answer_pattern(self, i: int) -> "AnswerString":
         """Binary encoding of atom index i as an N-bit answer string.

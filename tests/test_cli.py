@@ -111,6 +111,41 @@ def test_kernel_tables(capsys):
     assert "0.500000" in out
 
 
+# Each family passes the parser's 1e-9 unitarity rule; paired with itself,
+# the first gives a p 1.9e-9 from doubly stochastic, the second a U = B†B
+# that is not unitary within 1e-9 although its p passes.
+SCALED_HADAMARD = [[(1 + 0.95e-9) ** 0.5 / 2 ** 0.5 * sign for sign in row]
+                   for row in ((1, 1), (1, -1))]
+SKEWED = [[1.0, 9e-10], [0.0, (1 - 8.1e-19) ** 0.5]]
+FAILED_KERNEL_CHECKS = {"scaled_hadamard": (SCALED_HADAMARD, "kernel is not doubly stochastic"),
+                        "skewed": (SKEWED, "kernel unitary is not unitary")}
+PAIR_QUERIES = {"kernel_query": "kind: kernel",
+                "interference_query": "kind: interference, i: 1, j: 1, k: 2"}
+
+
+def _pair_request(family, query: str | None) -> tuple[str, str]:
+    """`relaqm kernel` on the pair [f, f], or `relaqm run` asking ``query`` of it."""
+    rows = ", ".join("[" + ", ".join(f"{x:.17e}" for x in row) + "]" for row in family)
+    families = f"families: {{f: [{rows}]}}\n"
+    if query is None:
+        return "kernel", f"dim: 2\n{families}pairs: [[f, f]]\n"
+    return "run", (f"systems: [{{name: S, dim: 2}}, {{name: O, dim: 2}}]\nobservers: [O]\n"
+                   f"{families}preparations: {{S: [1.0, 0.0], O: [1.0, 0.0]}}\n"
+                   f"events: [{{query: {{{query}, target: S, family_a: f, family_b: f}}}}]\n")
+
+
+@pytest.mark.parametrize("query", [None, *PAIR_QUERIES.values()],
+                         ids=["kernel_request", *PAIR_QUERIES])
+@pytest.mark.parametrize("family, check", FAILED_KERNEL_CHECKS.values(),
+                         ids=FAILED_KERNEL_CHECKS.keys())
+def test_a_pair_whose_kernel_fails_its_check_exits_3(tmp_path, capsys, query, family, check):
+    command, text = _pair_request(family, query)
+    doc = tmp_path / "pair.yaml"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: f <- f: {check}")
+
+
 def test_lattice_check(capsys):
     assert main(["lattice-check", "3", "--seed", "5"]) == 0
     out = capsys.readouterr().out

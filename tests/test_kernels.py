@@ -12,6 +12,7 @@ from relaqm.errors import (
     IndexOutOfRange,
     MissingUnitary,
     NotDoublyStochastic,
+    PreconditionViolated,
 )
 from relaqm import kernels
 from relaqm.hilbert import OPT_ATOL, haar_unitary, orthonormality_defect
@@ -134,11 +135,35 @@ def test_composite_probability_index_checks():
         composite_probability(u, 3, (0, 1))
 
 
-def test_composite_probability_needs_amplitudes():
+def test_composite_probability_needs_only_p():
+    """The loop i -> m -> i has amplitude U[i, m] conj(U[i, m]) = p[i, m], so a
+    kernel without U answers the composite question: (p[i, j] + p[i, k])^2."""
     k = TransitionKernel(np.eye(2), to_family="b", from_family="c")
-    with pytest.raises(MissingUnitary):
-        composite_probability(k, 0, (0, 1))
+    assert composite_probability(k, 0, (0, 1)) == 1.0
     assert classical_composite_probability(k, 0, (0, 1)) == 1.0
+    p = np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
+    bare = TransitionKernel(p, to_family="b", from_family="c")
+    assert composite_probability(bare, 0, (1, 2)) == (0.3 + 0.5) ** 2
+    assert classical_composite_probability(bare, 0, (1, 2)) == 0.3 ** 2 + 0.5 ** 2
+    assert interference_gap(bare, 0, (1, 2)) == pytest.approx(2 * 0.3 * 0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_composite_questions_agree_on_kernel_bare_kernel_and_unitary(dim):
+    """Haar U: the full kernel, the same kernel without U and the raw U give
+    one composite value, and the gap is 2 p[i, j] p[i, k]."""
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(10):
+        u = haar_unitary(dim, rng)
+        full = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
+        bare = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c")
+        for i in range(dim):
+            for j, k in itertools.combinations(range(dim), 2):
+                values = [composite_probability(x, i, (j, k)) for x in (full, bare, u)]
+                assert max(values) - min(values) <= 1e-15
+                gaps = [interference_gap(x, i, (j, k)) for x in (full, bare, u)]
+                for gap in gaps:
+                    assert abs(gap - 2 * full.p[i, j] * full.p[i, k]) <= 1e-15
 
 
 def test_composite_matches_projective_oracle_exhaustively():
@@ -227,6 +252,17 @@ def test_compose_checks_labels_and_amplitudes():
     bare = TransitionKernel(k1.p, to_family="a", from_family="b")
     with pytest.raises(MissingUnitary):
         compose(bare, kernel_from_families(b, c))
+
+
+def test_families_whose_kernel_fails_its_check_raise_a_named_error():
+    """Each family passes the ATOL unitarity rule, U = B†C does not: the
+    kernel's own check fails as PreconditionViolated, naming pair and check."""
+    scaled = CompleteFamily(CompleteFamily.hadamard().basis * np.sqrt(1 + 0.95e-9), "scaled")
+    skew = CompleteFamily(np.array([[1.0, 9e-10], [0.0, np.sqrt(1 - 8.1e-19)]]), "skew")
+    with pytest.raises(PreconditionViolated, match="scaled <- scaled: .*doubly stochastic"):
+        kernel_from_families(scaled, scaled)
+    with pytest.raises(PreconditionViolated, match="skew <- skew: .*not unitary"):
+        kernel_from_families(skew, skew)
 
 
 def test_transition_kernel_validation():
