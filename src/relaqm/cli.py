@@ -35,6 +35,7 @@ from .errors import (
 )
 from .hilbert import _MAX_AMPLITUDES, ATOL
 from .kernels import (
+    N_STARTS,
     decide_unistochastic,
     kernel_from_families,
     phase_fix,
@@ -53,30 +54,32 @@ LATTICE_TRIALS = 200
 # resident growth over 16 dim^2 bytes was 17.6-18.9 at dims 512 and 768, of
 # which tracemalloc sees ~12 (numpy arrays); the rest is allocated outside numpy
 LATTICE_ARRAYS = 18
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("RELAQM_SEED")
-    if raw is None:
-        return None
-    try:
-        seed = int(raw)
-    except ValueError as exc:
-        raise ValidationError("BadSeed", f"RELAQM_SEED={raw!r} is not an integer") from exc
-    if seed < 0:
-        raise ValidationError("BadSeed", f"RELAQM_SEED={raw!r} is negative")
-    return seed
+# complex values an n x n unistochastic search holds at its peak, measured on
+# Haar |U|^2: the projections hold SEARCH_ARRAYS N_STARTS x n x n arrays (peak
+# resident growth 9.6-9.7 at n = 64 and 96, tracemalloc 8.1-9.1 at n = 8-32);
+# the Gauss-Newton polish holds POLISH_ARRAYS n^2 x n^2 arrays, its Hermitian
+# basis and Jacobian (resident 4.6-4.7 at n = 24-40, tracemalloc 4.0-4.6)
+SEARCH_ARRAYS = 10
+POLISH_ARRAYS = 5
 
 
 def _effective_seed(flag: int | None, fallback: int | None = None) -> int | None:
+    """--seed, else RELAQM_SEED, else ``fallback``; a seed given either way
+    is a nonnegative integer."""
     if flag is not None:
-        if flag < 0:
-            raise ValidationError("BadSeed", f"--seed {flag} is negative")
-        return flag
-    env = _env_seed()
-    if env is not None:
-        return env
-    return fallback
+        seed, source = flag, f"--seed {flag}"
+    else:
+        raw = os.environ.get("RELAQM_SEED")
+        if raw is None:
+            return fallback
+        source = f"RELAQM_SEED={raw!r}"
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ValidationError("BadSeed", f"{source} is not an integer") from exc
+    if seed < 0:
+        raise ValidationError("BadSeed", f"{source} is negative")
+    return seed
 
 
 def _cmd_run(args) -> int:
@@ -104,31 +107,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    from .parsing import parse_families, parse_yaml, read_text, resolve_family
+    from .parsing import _parse_kernel_request, read_text
 
-    doc = parse_yaml(read_text(args.file))
-    if not isinstance(doc, dict) or "dim" not in doc:
-        raise ParseError("kernel file needs a 'dim' field")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"kernel file: dim must be a positive integer, got {dim!r}")
-    if dim * dim > _MAX_AMPLITUDES:
-        raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
-                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
-    declared = parse_families(doc.get("families"))
-    pairs = doc.get("pairs") or [["computational", "fourier"]]
-    if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(name, str) for name in pair) for pair in pairs):
-        raise ParseError("kernel file: pairs must be a list of [family, family] names")
     out_lines = []
-    for a_name, b_name in pairs:
-        fam_a = resolve_family(a_name, dim, declared)
-        fam_b = resolve_family(b_name, dim, declared)
+    for fam_a, fam_b in _parse_kernel_request(read_text(args.file)):
         kernel = kernel_from_families(fam_a, fam_b)
         check = verify_double_stochastic(kernel.p)
-        out_lines.append(f"kernel {a_name} <- {b_name} (dim {dim}), "
-                         f"max violation {check.max_violation:.3g}")
+        out_lines.append(f"kernel {kernel.to_family} <- {kernel.from_family} "
+                         f"(dim {kernel.dim}), max violation {check.max_violation:.3g}")
         for row in kernel.p:
             out_lines.append("  " + "  ".join(f"{x:.6f}" for x in row))
     sys.stdout.write("\n".join(out_lines) + "\n")
@@ -144,13 +130,14 @@ def _cmd_unistochastic(args) -> int:
         raise ParseError(f"{args.matrix}: not a matrix of real numbers ({exc})") from exc
     if p.size == 0:
         raise ParseError(f"{args.matrix}: no matrix entries")
+    dim = len(p)
+    held = max(SEARCH_ARRAYS * N_STARTS * dim * dim, POLISH_ARRAYS * dim ** 4)
+    if held > _MAX_AMPLITUDES:
+        raise ValidationError("TooLarge", f"{args.matrix}: a {dim}x{dim} search holds {held} "
+                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
     check = verify_double_stochastic(p)
     sys.stdout.write(f"doubly stochastic check: {check}\n")
-    try:
-        decision = decide_unistochastic(p, seed=_effective_seed(args.seed, 0))
-    except NotDoublyStochastic as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_VALIDATION
+    decision = decide_unistochastic(p, seed=_effective_seed(args.seed, 0))
     if decision.open_links is None:
         sys.stdout.write(f"residual: {decision.residual:.6g}\n")
     else:
@@ -261,7 +248,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # OSError: a missing or unreadable path (a non-UTF-8 one is a ParseError)
-    except (ParseError, ValidationError, DescriptionUnavailable, OSError) as exc:
+    except (ParseError, ValidationError, DescriptionUnavailable, NotDoublyStochastic,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except RelaqmError as exc:

@@ -138,12 +138,17 @@ def kernel_from_families(b: CompleteFamily, c: CompleteFamily) -> TransitionKern
     """
     if b.dim != c.dim:
         raise DimensionMismatch(f"family dims differ: {b.dim} vs {c.dim}")
-    u = b.basis.conj().T @ c.basis
+    return _kernel_of(b.basis.conj().T @ c.basis, b.label, c.label)
+
+
+def _kernel_of(u: np.ndarray, to_family: str, from_family: str) -> TransitionKernel:
+    """The kernel p = |U|^2 carrying U; a U that fails the kernel's own check
+    is a :class:`PreconditionViolated` naming the pair and the check."""
     try:
-        return TransitionKernel(np.abs(u) ** 2, to_family=b.label,
-                                from_family=c.label, U=u)
+        return TransitionKernel(np.abs(u) ** 2, to_family=to_family,
+                                from_family=from_family, U=u)
     except ValueError as exc:
-        raise PreconditionViolated(f"{b.label} <- {c.label}: {exc}") from exc
+        raise PreconditionViolated(f"{to_family} <- {from_family}: {exc}") from exc
 
 
 def _row_pair(kernel_or_matrix, i: int, jk: tuple[int, int],
@@ -202,16 +207,16 @@ def compose(k1: TransitionKernel, k2: TransitionKernel) -> TransitionKernel:
     """Chain two kernels through their shared middle family: U_ac = U_ab U_bc.
 
     The probability matrix of the result is |U_ab U_bc|^2, which differs from
-    the product p_ab p_bc whenever interference is present.
+    the product p_ab p_bc whenever interference is present.  Each kernel
+    passes its check within ATOL, but their product can miss it; that is a
+    :class:`PreconditionViolated`, as in :func:`kernel_from_families`.
     """
     if k1.U is None or k2.U is None:
         raise MissingUnitary("composition needs both kernels to carry unitaries")
     if k1.from_family != k2.to_family:
         raise FamilyMismatch(
             f"no shared middle family: {k1.from_family!r} vs {k2.to_family!r}")
-    u = k1.U @ k2.U
-    return TransitionKernel(np.abs(u) ** 2, to_family=k1.to_family,
-                            from_family=k2.from_family, U=u)
+    return _kernel_of(k1.U @ k2.U, k1.to_family, k2.from_family)
 
 
 def phase_fix(u) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Reading input documents: YAML text, amplitudes, matrices and named families.
 
-These are the parse steps that ``relaqm run`` and ``relaqm kernel`` share.
-They live apart from the scenario runner so that a ``kernel`` request is read
-without loading the runner, the measurement layer or the dynamics.  Their
-public names are also exported by :mod:`relaqm.scenario`, which is where they
-are documented, and which calls them through its own module globals.
+These are the parse steps that ``relaqm run`` and ``relaqm kernel`` share,
+and the whole of a ``kernel`` request's rules.  They live apart from the
+scenario runner so that a ``kernel`` request is read without loading the
+runner, the measurement layer or the dynamics.  Their public names are also
+exported by :mod:`relaqm.scenario`, which is where they are documented, and
+which calls them through its own module globals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .hilbert import ATOL, orthonormality_defect
+from .hilbert import _MAX_AMPLITUDES, ATOL, orthonormality_defect
 from .questions import CompleteFamily
 
 __all__ = ["read_text", "parse_yaml", "parse_families", "resolve_family"]
@@ -133,6 +134,28 @@ def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> Comp
     if name == "fourier":
         return CompleteFamily.fourier(dim)
     raise ValidationError("UnknownFamily", f"no family named {name!r}")
+
+
+def _parse_kernel_request(text: str) -> list[tuple[CompleteFamily, CompleteFamily]]:
+    """The family pairs of a ``relaqm kernel`` request, each resolved at the
+    request's ``dim``; by default the one pair computational <- fourier."""
+    doc = parse_yaml(text)
+    if not isinstance(doc, dict) or "dim" not in doc:
+        raise ParseError("kernel file needs a 'dim' field")
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"kernel file: dim must be a positive integer, got {dim!r}")
+    if dim * dim > _MAX_AMPLITUDES:
+        raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
+                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
+    declared = parse_families(doc.get("families"))
+    pairs = doc.get("pairs") or [["computational", "fourier"]]
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(name, str) for name in pair) for pair in pairs):
+        raise ParseError("kernel file: pairs must be a list of [family, family] names")
+    return [(resolve_family(a, dim, declared), resolve_family(b, dim, declared))
+            for a, b in pairs]
 
 
 # Their documented home is relaqm.scenario (see the module docstring): tools

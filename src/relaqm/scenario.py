@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -149,10 +150,34 @@ def _require(mapping, key, where: str):
     return mapping[key]
 
 
-def _check_measurement(where: str, pointer: str, system: str, family: str,
-                       dims, families) -> CompleteFamily:
-    """The rules a pointer recording a system obeys, in a measure event or a
-    query; returns the family the system is measured in."""
+def _system(raw, where: str, dims) -> str:
+    """A field naming a declared system."""
+    name = _name(raw, where)
+    if name not in dims:
+        raise ValidationError("UnknownSystem", f"{where}: unknown system {name!r}")
+    return name
+
+
+def _observer(raw, where: str, observers, forbidden=()) -> str:
+    """A field naming an observer, one outside ``forbidden``: the systems that
+    a query relative to it asks about."""
+    obs = _name(raw, where)
+    if obs not in observers:
+        raise ValidationError("NotAnObserver", f"{where}: {obs!r} is not an observer")
+    if obs in forbidden:
+        raise ValidationError(
+            "SelfDescription",
+            f"{where}: no state of {obs!r} is defined relative to {obs!r} itself")
+    return obs
+
+
+def _family(body, where: str, dim: int, families) -> CompleteFamily:
+    """The optional ``family`` field, ``computational`` by default, at ``dim``."""
+    return resolve_family(_name(body.get("family", "computational"), where), dim, families)
+
+
+def _check_pointer(where: str, pointer: str, system: str, dims) -> None:
+    """The rules a pointer recording a system obeys, in a measure event or a query."""
     if pointer == system:
         raise ValidationError(
             "SelfMeasurement",
@@ -163,41 +188,34 @@ def _check_measurement(where: str, pointer: str, system: str, family: str,
             "PointerTooSmall",
             f"{where}: pointer {pointer!r} (dim {dims[pointer]}) cannot record "
             f"all outcomes of {system!r} (dim {dims[system]})")
-    return resolve_family(family, dims[system], families)
 
 
 def _parse_measure(body, idx: int, scenario_fields) -> MeasureEvent:
     where = f"events[{idx}].measure"
-    systems, observers, families, dims = scenario_fields
+    observers, families, dims = scenario_fields
     observer = _require(body, "observer", where)
     if isinstance(observer, (list, tuple)):
         raise ValidationError(
             "SimultaneousMeasurement",
             f"{where}: {list(observer)} cannot measure in one event; events are "
             "strictly ordered, one observer has to obtain the information first")
-    observer = _name(observer, where)
-    target = _name(_require(body, "target", where), where)
-    family = _name(body.get("family", "computational"), where)
-    if observer not in observers:
-        raise ValidationError("NotAnObserver", f"{where}: {observer!r} is not an observer")
-    if target not in dims:
-        raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
-    resolved = _check_measurement(where, observer, target, family, dims, families)
+    observer = _observer(observer, where, observers)
+    target = _system(_require(body, "target", where), where, dims)
+    _check_pointer(where, observer, target, dims)
+    family = _family(body, where, dims[target], families)
     joint = dims[target] * dims[observer]
     if joint > _MAX_PREMEASUREMENT_DIM:
         raise ValidationError(
             "TooLarge",
             f"{where}: the premeasurement of {target!r} by {observer!r} acts on "
             f"dimension {joint}, more than the {_MAX_PREMEASUREMENT_DIM} allowed")
-    return MeasureEvent(observer, target, resolved)
+    return MeasureEvent(observer, target, family)
 
 
 def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
     where = f"events[{idx}].evolve"
-    _, _, _, dims = scenario_fields
-    target = _name(_require(body, "target", where), where)
-    if target not in dims:
-        raise ValidationError("UnknownSystem", f"{where}: unknown system {target!r}")
+    _, _, dims = scenario_fields
+    target = _system(_require(body, "target", where), where, dims)
     t = _real_value(_require(body, "t", where), where, "a number for the duration t")
     raw_h = _require(body, "hamiltonian", where)
     if isinstance(raw_h, str):
@@ -224,24 +242,14 @@ def _parse_evolve(body, idx: int, scenario_fields) -> EvolveEvent:
 
 def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
     where = f"events[{idx}].query"
-    _, observers, families, dims = scenario_fields
+    observers, families, dims = scenario_fields
     kind = _require(body, "kind", where)
 
-    def observer_field(key="relative_to", forbidden=()):
-        obs = _name(_require(body, key, where), where)
-        if obs not in observers:
-            raise ValidationError("NotAnObserver", f"{where}: {obs!r} is not an observer")
-        if obs in forbidden:
-            raise ValidationError(
-                "SelfDescription",
-                f"{where}: no state of {obs!r} is defined relative to {obs!r} itself")
-        return obs
+    def relative_to(*asked):
+        return _observer(_require(body, "relative_to", where), where, observers, asked)
 
     def system_field(key):
-        name = _name(_require(body, key, where), where)
-        if name not in dims:
-            raise ValidationError("UnknownSystem", f"{where}: unknown system {name!r}")
-        return name
+        return _system(_require(body, key, where), where, dims)
 
     if kind == "state":
         of = _require(body, "of", where)
@@ -250,28 +258,23 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         if not isinstance(of, list) or not of:
             raise ParseError(f"{where}: 'of' must be a system name or list of names")
         for name in of:
-            if _name(name, where) not in dims:
-                raise ValidationError("UnknownSystem", f"{where}: unknown system {name!r}")
+            _system(name, where, dims)
         if len(set(of)) != len(of):
             raise ParseError(f"{where}: duplicate systems in 'of'")
-        obs = observer_field(forbidden=set(of))
-        return QueryEvent("state", {"of": tuple(of), "relative_to": obs})
+        return QueryEvent("state", {"of": tuple(of), "relative_to": relative_to(*of)})
     if kind == "marginal":
         target = system_field("target")
-        family = resolve_family(_name(body.get("family", "computational"), where),
-                                dims[target], families)
-        obs = observer_field(forbidden={target})
+        family = _family(body, where, dims[target], families)
         return QueryEvent("marginal", {"target": target, "family": family,
-                                       "relative_to": obs})
+                                       "relative_to": relative_to(target)})
     if kind == "completion":
         system = system_field("system")
         pointer = system_field("pointer")
-        family = _check_measurement(where, pointer, system,
-                                    _name(body.get("family", "computational"), where),
-                                    dims, families)
-        obs = observer_field(forbidden={system, pointer})
+        _check_pointer(where, pointer, system, dims)
+        family = _family(body, where, dims[system], families)
         return QueryEvent("completion", {"system": system, "pointer": pointer,
-                                         "family": family, "relative_to": obs})
+                                         "family": family,
+                                         "relative_to": relative_to(system, pointer)})
     if kind in ("kernel", "interference"):
         target = system_field("target")
         fam_a = _name(_require(body, "family_a", where), where)
@@ -376,7 +379,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("UnknownSystem",
                               f"preparations name undeclared system {extra!r}")
 
-    scenario_fields = (systems, observers, families, dims)
+    scenario_fields = (observers, families, dims)
     raw_events = doc.get("events") or []
     if not isinstance(raw_events, list):
         raise ParseError("events must be a list")
@@ -727,23 +730,9 @@ def lint_report(report: Report) -> list[str]:
     return problems
 
 
-# JSON string escapes: '"', '\\' and the control characters U+0000-U+001F
-_ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
-                          "\b": "\\b", "\t": "\\t", "\n": "\\n", "\f": "\\f",
-                          "\r": "\\r", '"': '\\"', "\\": "\\\\"})
-
-
-def _string_text(text: str) -> str:
-    """``text`` as a JSON string literal."""
-    if text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + text + '"'  # the common case: nothing to escape
-    return '"' + text.translate(_ESCAPES) + '"'
-
-
 def _fmt_float(x: float) -> str:
-    if x == 0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".12g")
+    """12 significant digits; -0.0 prints as 0."""
+    return "%.12g" % x if x else "0"
 
 
 def _render_json(node) -> str:
@@ -816,9 +805,9 @@ def _float_rows_text(node, pad: str) -> str | None:
 def _scalar_text(node) -> str:
     kind = type(node)
     if kind is float:
-        return "%.12g" % node if node else "0"  # as _fmt_float: -0.0 prints as 0
+        return _fmt_float(node)
     if kind is str:
-        return _string_text(node)
+        return encode_basestring(node)
     if kind is int:
         return str(node)
     if isinstance(node, (bool, np.bool_)):
@@ -829,7 +818,7 @@ def _scalar_text(node) -> str:
         return _fmt_float(float(node))
     if node is None:
         return "null"
-    return _string_text(str(node))
+    return encode_basestring(str(node))
 
 
 def _amplitudes_text(pairs) -> str:

@@ -9,6 +9,7 @@ import yaml
 
 from relaqm import cli, scenario
 from relaqm.cli import main
+from relaqm.kernels import UnistochasticDecision
 from relaqm.scenario import emit_report, fixture_path
 
 WIGNER = str(fixture_path("wigner_friend.yaml"))
@@ -102,6 +103,31 @@ def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.9 0.2\n0.1 0.8\n")
     assert main(["unistochastic", str(bad)]) == 2
+    assert capsys.readouterr().err == ("error: input violates double stochasticity: "
+                                       "range 0, rows 0.1, columns 0\n")
+
+
+def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
+    """An n x n decision holds max(10 N_STARTS n**2, 5 n**4) amplitudes.  With
+    the limit lowered to 300000, 15 x 15 is allowed and 16 x 16 refused by the
+    polish term alone (327680, against 163840 for the projections), before
+    the decision runs; the decision is replaced, so neither size searches."""
+    assert (cli.SEARCH_ARRAYS, cli.POLISH_ARRAYS, cli.N_STARTS) == (10, 5, 64)
+    monkeypatch.setattr(cli, "_MAX_AMPLITUDES", 300_000)
+    decided = []
+
+    def decide(p, seed):
+        decided.append(len(p))
+        return UnistochasticDecision("inconclusive", residual=1.0)
+
+    monkeypatch.setattr(cli, "decide_unistochastic", decide)
+    for n, code in ((16, 2), (15, 3)):
+        uniform = tmp_path / f"uniform{n}.txt"
+        uniform.write_text((" ".join([repr(1 / n)] * n) + "\n") * n)
+        assert main(["unistochastic", str(uniform)]) == code
+    assert decided == [15]
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooLarge:") and "16x16" in err
 
 
 def test_kernel_tables(capsys):

@@ -128,6 +128,9 @@ CASES = {
                            "error: kernel file needs a 'dim' field"),
     "kernel_dim_not_positive": ("kernel", "dim: 0\n",
                                 "error: kernel file: dim must be a positive integer"),
+    "kernel_dim_too_large": ("kernel", "dim: 8193\n", "TooLarge"),  # 8193**2 > 2**26
+    "kernel_one_name_pair": ("kernel", "dim: 2\npairs: [[computational]]\n",
+                             "error: kernel file: pairs must be a list of [family, family] names"),
 }
 
 

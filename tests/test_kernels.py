@@ -265,6 +265,17 @@ def test_families_whose_kernel_fails_its_check_raise_a_named_error():
         kernel_from_families(skew, skew)
 
 
+def test_composing_kernels_whose_product_fails_its_check_raises_a_named_error():
+    """Both kernels of the scaled Hadamard basis with the computational one
+    pass their checks; their product U = S†S = (1 + 0.95e-9) I does not."""
+    scaled = CompleteFamily(CompleteFamily.hadamard().basis * np.sqrt(1 + 0.95e-9), "scaled")
+    comp = CompleteFamily.computational(2)
+    forth, back = kernel_from_families(scaled, comp), kernel_from_families(comp, scaled)
+    with pytest.raises(PreconditionViolated,
+                       match=r"^scaled <- scaled: kernel is not doubly stochastic: range 1.9e-09"):
+        compose(forth, back)
+
+
 def test_transition_kernel_validation():
     with pytest.raises(ValueError, match="stochastic"):
         TransitionKernel(np.array([[0.9, 0.2], [0.1, 0.8]]), "b", "c")
