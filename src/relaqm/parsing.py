@@ -4,12 +4,12 @@ These are the parse steps that ``relaqm run`` and ``relaqm kernel`` share,
 and the whole of a ``kernel`` request's rules.  They live apart from the
 scenario runner so that a ``kernel`` request is read without loading the
 runner, the measurement layer or the dynamics.  Their public names are also
-exported by :mod:`relaqm.scenario`, which is where they are documented, and
-which calls them through its own module globals.
+exported by :mod:`relaqm.scenario`, which is where they are documented.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -73,7 +73,22 @@ def _complex_value(raw, where: str) -> complex:
     return complex(_real_value(raw, where))
 
 
+_LISTS_ONLY = frozenset((list,))
+_PAIRS_ONLY = frozenset((2,))
+_FLOATS_ONLY = frozenset((float,))
+
+
 def _complex_vector(raw, where: str) -> np.ndarray:
+    """A list of amplitudes.  A list of finite ``[float, float]`` pairs, the
+    form reports and generated scenarios use, is read in one pass at C level:
+    its float64 (re, im) pairs are the bytes of complex128 values.  Any other
+    list goes element by element, to the same values and the same errors."""
+    if (type(raw) is list and raw and _LISTS_ONLY.issuperset(map(type, raw))
+            and _PAIRS_ONLY.issuperset(map(len, raw))
+            and _FLOATS_ONLY.issuperset(map(type, itertools.chain.from_iterable(raw)))):
+        pairs = np.array(raw, dtype=float)
+        if np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(-1)
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ParseError(f"{where}: expected a non-empty list of amplitudes")
     return np.array([_complex_value(x, where) for x in raw], dtype=complex)
@@ -99,8 +114,9 @@ def _name(raw, where: str):
 
 
 def parse_families(raw) -> dict[str, np.ndarray]:
-    """Declared families: names mapped to unitary matrices (columns = basis vectors)."""
-    if not raw:
+    """Declared families: names mapped to unitary matrices (columns = basis vectors).
+    An absent (``None``) field declares none; any other value must be a mapping."""
+    if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ParseError("families must be a mapping from names to matrices")
@@ -136,6 +152,21 @@ def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> Comp
     raise ValidationError("UnknownFamily", f"no family named {name!r}")
 
 
+def _family_reader(declared: dict[str, np.ndarray]):
+    """:func:`resolve_family` over one document's ``declared`` families, each
+    (name, dim) resolved once: the events that name it share one family.  The
+    memo lives only as long as the reader, so no document sees another's."""
+    resolved: dict[tuple[str, int], CompleteFamily] = {}
+
+    def family(name: str, dim: int) -> CompleteFamily:
+        key = (name, dim)
+        if key not in resolved:
+            resolved[key] = resolve_family(name, dim, declared)
+        return resolved[key]
+
+    return family
+
+
 def _parse_kernel_request(text: str) -> list[tuple[CompleteFamily, CompleteFamily]]:
     """The family pairs of a ``relaqm kernel`` request, each resolved at the
     request's ``dim``; by default the one pair computational <- fourier."""
@@ -148,14 +179,17 @@ def _parse_kernel_request(text: str) -> list[tuple[CompleteFamily, CompleteFamil
     if dim * dim > _MAX_AMPLITUDES:
         raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
                                           f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
-    declared = parse_families(doc.get("families"))
-    pairs = doc.get("pairs") or [["computational", "fourier"]]
+    family = _family_reader(parse_families(doc.get("families")))
+    pairs = doc.get("pairs")
+    if pairs is None:
+        pairs = [["computational", "fourier"]]
     if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2
             and all(isinstance(name, str) for name in pair) for pair in pairs):
         raise ParseError("kernel file: pairs must be a list of [family, family] names")
-    return [(resolve_family(a, dim, declared), resolve_family(b, dim, declared))
-            for a, b in pairs]
+    if not pairs:
+        raise ParseError("kernel file: pairs is empty; leave it out for computational <- fourier")
+    return [(family(a, dim), family(b, dim)) for a, b in pairs]
 
 
 # Their documented home is relaqm.scenario (see the module docstring): tools

@@ -43,6 +43,8 @@ from .dynamics import propagator
 from .hilbert import (_MAX_AMPLITUDES, ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator,
                       StateVector, _apply_on_factors, sample_index)
 from .kernels import (
+    StochasticReport,
+    TransitionKernel,
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
@@ -50,8 +52,9 @@ from .kernels import (
 )
 from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
                           premeasurement_unitary)
-from .parsing import (_complex_vector, _name, _real_value, _square_matrix, parse_families,
-                      parse_yaml, read_text, resolve_family)
+from .parsing import (_FLOATS_ONLY, _LISTS_ONLY, _complex_vector, _family_reader, _name,
+                      _real_value, _square_matrix, parse_families, parse_yaml, read_text,
+                      resolve_family)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -172,8 +175,9 @@ def _observer(raw, where: str, observers, forbidden=()) -> str:
 
 
 def _family(body, where: str, dim: int, families) -> CompleteFamily:
-    """The optional ``family`` field, ``computational`` by default, at ``dim``."""
-    return resolve_family(_name(body.get("family", "computational"), where), dim, families)
+    """The optional ``family`` field, ``computational`` by default, at ``dim``;
+    ``families`` is the document's :func:`~relaqm.parsing._family_reader`."""
+    return families(_name(body.get("family", "computational"), where), dim)
 
 
 def _check_pointer(where: str, pointer: str, system: str, dims) -> None:
@@ -279,8 +283,8 @@ def _parse_query(body, idx: int, scenario_fields) -> QueryEvent:
         target = system_field("target")
         fam_a = _name(_require(body, "family_a", where), where)
         fam_b = _name(_require(body, "family_b", where), where)
-        pair = {"target": target, "family_a": resolve_family(fam_a, dims[target], families),
-                "family_b": resolve_family(fam_b, dims[target], families)}
+        pair = {"target": target, "family_a": families(fam_a, dims[target]),
+                "family_b": families(fam_b, dims[target])}
         if kind == "kernel":
             return QueryEvent("kernel", pair)
         i = _require(body, "i", where)
@@ -354,7 +358,7 @@ def parse_scenario(text: str) -> Scenario:
             f"the observers' accounts would hold {amplitudes} amplitudes, more than "
             f"the {_MAX_AMPLITUDES} allowed")
 
-    families = parse_families(doc.get("families"))
+    families = _family_reader(parse_families(doc.get("families")))
 
     raw_preps = _require(doc, "preparations", "scenario")
     if not isinstance(raw_preps, dict):
@@ -380,7 +384,9 @@ def parse_scenario(text: str) -> Scenario:
                               f"preparations name undeclared system {extra!r}")
 
     scenario_fields = (observers, families, dims)
-    raw_events = doc.get("events") or []
+    raw_events = doc.get("events")
+    if raw_events is None:
+        raw_events = []
     if not isinstance(raw_events, list):
         raise ParseError("events must be a list")
     events = []
@@ -592,11 +598,21 @@ def _run_evolve(sc: Scenario, ev: EvolveEvent, idx: int, accounts,
     })
 
 
-def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
+def _kernel(params: dict, kernels: dict) -> tuple[TransitionKernel, StochasticReport]:
+    """The kernel of a query's family pair and its stochastic check, built at
+    the pair's first query and kept in ``kernels``, which one run owns."""
+    pair = (params["family_a"], params["family_b"])
+    if pair not in kernels:
+        kernel = kernel_from_families(*pair)
+        kernels[pair] = kernel, verify_double_stochastic(kernel.p)
+    return kernels[pair]
+
+
+def _run_query(ev: QueryEvent, idx: int, accounts, kernels: dict, report: Report) -> None:
     params = ev.params
     entry = {"event": idx, "kind": "query", "query": ev.kind}
     if ev.kind in ("kernel", "interference"):
-        kernel = kernel_from_families(params["family_a"], params["family_b"])
+        kernel, check = _kernel(params, kernels)
     else:
         account = accounts[params["relative_to"]]
         _require_active(account, f"event {idx}: {ev.kind} query")
@@ -633,7 +649,6 @@ def _run_query(ev: QueryEvent, idx: int, accounts, report: Report) -> None:
             "completion_probability": value,
         })
     elif ev.kind == "kernel":
-        check = verify_double_stochastic(kernel.p)
         entry.update({
             "target": params["target"],
             "to_family": kernel.to_family,
@@ -678,13 +693,16 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
             amps = np.multiply.outer(amps, sc.preparations[n]).ravel()
         accounts[obs] = _Account(obs, names, dims, amps)
 
+    # (family_a, family_b) -> (kernel, check); CompleteFamily compares by
+    # identity, and the scenario holds every family while the run lasts
+    kernels: dict = {}
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
             _run_measure(sc, ev, idx, accounts, rng, report)
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):
-            _run_query(ev, idx, accounts, report)
+            _run_query(ev, idx, accounts, kernels, report)
         else:  # pragma: no cover - parse produces only the three kinds
             raise TypeError(f"unknown event type {type(ev)}")
 
@@ -718,8 +736,11 @@ def lint_report(report: Report) -> list[str]:
         else:
             items = enumerate(node)
         for key, value in items:
-            if type(value) is list and _LEAF_TYPES.issuperset(map(type, value)):
-                continue  # a row of plain scalars holds no payload
+            if type(value) is list:  # a row, or a list of rows, of plain scalars holds no payload
+                kinds = set(map(type, value))
+                if _LEAF_TYPES.issuperset(kinds) or kinds == _LISTS_ONLY and (
+                        _LEAF_TYPES.issuperset(map(type, itertools.chain.from_iterable(value)))):
+                    continue
             if isinstance(value, (dict, list)):
                 trail.append((node, key))
                 walk(value)
@@ -774,7 +795,6 @@ def _render_into(node, pad: str, out: list[str]) -> None:
         out.append(_scalar_text(node))
 
 
-_FLOATS_ONLY = frozenset((float,))
 # "[%.12g, ..., %.12g]" for n = 0..16: the template of one row of floats
 _FLOAT_ROWS = tuple("[" + ", ".join(["%.12g"] * n) + "]" for n in range(17))
 

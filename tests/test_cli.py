@@ -172,6 +172,19 @@ def test_a_pair_whose_kernel_fails_its_check_exits_3(tmp_path, capsys, query, fa
     assert capsys.readouterr().err.startswith(f"error: f <- f: {check}")
 
 
+def test_a_failing_pair_after_built_ones_exits_3(tmp_path, capsys):
+    """Kernels are built once per run, at a pair's first query: a failing
+    pair queried after a repeated good one still ends the run with exit 3."""
+    command, text = _pair_request(SCALED_HADAMARD, PAIR_QUERIES["interference_query"])
+    good = "{query: {kind: kernel, target: S, family_a: computational, family_b: hadamard}}"
+    text = text.replace("events: [", f"events: [{good}, {good}, ").replace(
+        "}}]", "}}, {query: {kind: kernel, target: S, family_a: f, family_b: f}}]")
+    doc = tmp_path / "pairs.yaml"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: f <- f: kernel is not doubly stochastic")
+
+
 def test_lattice_check(capsys):
     assert main(["lattice-check", "3", "--seed", "5"]) == 0
     out = capsys.readouterr().out
@@ -272,6 +285,17 @@ REJECTED_INPUTS = {
     "scenario_name_not_string": ("run", "name: [a]\n" + _scenario()),
     "family_key_not_string": ("run", _scenario(extra="families: {1: [[1, 0], [0, 1]]}")),
     "kernel_family_key_not_string": ("kernel", "dim: 2\nfamilies: {1: [[1, 0], [0, 1]]}\n"),
+    # a field that is present and not null has its type, falsy or not
+    "events_false": ("run", _scenario(events="false")),
+    "events_zero": ("run", _scenario(events="0")),
+    "events_one": ("run", _scenario(events="1")),
+    "families_false": ("run", _scenario(extra="families: false")),
+    "families_empty_list": ("run", _scenario(extra="families: []")),
+    "families_one": ("run", _scenario(extra="families: 1")),
+    "kernel_families_false": ("kernel", "dim: 2\nfamilies: false\n"),
+    "kernel_pairs_false": ("kernel", "dim: 2\npairs: false\n"),
+    "kernel_pairs_empty": ("kernel", "dim: 2\npairs: []\n"),
+    "kernel_pairs_one": ("kernel", "dim: 2\npairs: 1\n"),
 }
 
 
@@ -296,6 +320,19 @@ def test_malformed_input_exits_2_without_libyaml(tmp_path, capsys, monkeypatch,
     where PyYAML was built without libyaml."""
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     _assert_rejected(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("command, text, first_line", [
+    ("run", _scenario(events="null"), "scenario: scenario"),
+    ("run", _scenario(extra="families: null"), "scenario: scenario"),
+    ("run", _scenario(extra="families: {}"), "scenario: scenario"),
+    ("kernel", "dim: 2\nfamilies: null\npairs: null\n", "kernel computational <- fourier"),
+], ids=["events_null", "families_null", "families_empty_mapping", "kernel_pairs_null"])
+def test_null_fields_keep_their_defaults(tmp_path, capsys, command, text, first_line):
+    doc = tmp_path / "input.yaml"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 0
+    assert capsys.readouterr().out.startswith(first_line)
 
 
 def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):

@@ -70,6 +70,10 @@ CASES = {
                           "NonSquareMatrix"),
     "family_not_unitary": ("run", scenario(extra="families: {f: [[1, 1], [0, 1]]}\n"),
                            "FamilyNotUnitary"),
+    "families_false": ("run", scenario(extra="families: false\n"),
+                       "error: families must be a mapping"),
+    "families_empty_list": ("run", scenario(extra="families: []\n"),
+                            "error: families must be a mapping"),
     # preparations
     "missing_preparation": ("run", scenario(preparations="{S: [1.0, 0.0]}"),
                             "MissingPreparation"),
@@ -82,6 +86,8 @@ CASES = {
     # events
     "events_not_a_list": ("run", scenario(events="{measure: {observer: O, target: S}}"),
                           "error: events must be a list"),
+    "events_false": ("run", scenario(events="false"), "error: events must be a list"),
+    "events_zero": ("run", scenario(events="0"), "error: events must be a list"),
     "measure_by_two": ("run", scenario(events=measure(observer="[O, S]")),
                        "SimultaneousMeasurement"),
     "measure_by_non_observer": ("run", scenario(events=measure(observer="S", target="O")),
@@ -131,6 +137,11 @@ CASES = {
     "kernel_dim_too_large": ("kernel", "dim: 8193\n", "TooLarge"),  # 8193**2 > 2**26
     "kernel_one_name_pair": ("kernel", "dim: 2\npairs: [[computational]]\n",
                              "error: kernel file: pairs must be a list of [family, family] names"),
+    "kernel_pairs_false": ("kernel", "dim: 2\npairs: false\n",
+                           "error: kernel file: pairs must be a list of [family, family] names"),
+    "kernel_pairs_empty": ("kernel", "dim: 2\npairs: []\n", "error: kernel file: pairs is empty"),
+    "kernel_families_false": ("kernel", "dim: 2\nfamilies: false\n",
+                              "error: families must be a mapping"),
 }
 
 

@@ -11,12 +11,15 @@ from relaqm.errors import (
     DescriptionUnavailable,
     NormalizationError,
     ParseError,
+    PreconditionViolated,
     ValidationError,
 )
 from relaqm import measurement as measurement_module
 from relaqm import scenario as scenario_module
-from relaqm.hilbert import Operator, _apply_on_factors, random_hermitian, random_state
+from relaqm.hilbert import (Operator, _apply_on_factors, haar_unitary, random_hermitian,
+                            random_state)
 from relaqm.measurement import _born_weights, _completion, correlation_operator, standard_setup
+from relaqm.parsing import _parse_kernel_request
 from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
     EvolveEvent,
@@ -310,6 +313,126 @@ def test_unknown_family_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
     assert err.value.rule == "UnknownFamily"
+
+
+def _matrix_yaml(matrix) -> str:
+    """A complex matrix as YAML rows of [re, im] pairs, every float exact."""
+    rows = (", ".join(f"[{float(z.real)!r}, {float(z.imag)!r}]" for z in row) for row in matrix)
+    return "[" + ", ".join(f"[{row}]" for row in rows) + "]"
+
+
+def test_each_document_reads_its_own_declared_families():
+    """Two documents parsed one after the other declare different `haar`
+    matrices; each run's kernel and marginal queries use its own."""
+    rng = np.random.default_rng(7)
+    haars = [haar_unitary(2, rng) for _ in range(2)]
+    events = ("  - query: {kind: kernel, target: S, family_a: haar, family_b: computational}\n"
+              "  - query: {kind: marginal, target: S, family: haar, relative_to: P}")
+    parsed = [parse_scenario(small_scenario(events, f"families: {{haar: {_matrix_yaml(h)}}}"))
+              for h in haars]
+    psi = np.array([0.6, 0.8])
+    for sc, haar in zip(parsed, haars):
+        kernel, marginal = run(sc).entries
+        np.testing.assert_array_equal(kernel["p"], np.abs(haar.conj().T) ** 2)
+        np.testing.assert_allclose(marginal["probabilities"], np.abs(haar.conj().T @ psi) ** 2,
+                                   atol=1e-15)
+
+
+def test_events_naming_one_family_at_one_dim_share_it():
+    text = """
+systems: [{name: S, dim: 2}, {name: T, dim: 3}, {name: O, dim: 3}, {name: P, dim: 3}]
+observers: [O, P]
+preparations: {S: [1.0, 0.0], T: [1.0, 0.0, 0.0], O: [1.0, 0.0, 0.0], P: [1.0, 0.0, 0.0]}
+events:
+  - measure: {observer: O, target: S, family: fourier}
+  - measure: {observer: O, target: T, family: fourier}
+  - query: {kind: marginal, target: S, family: fourier, relative_to: P}
+  - query: {kind: completion, system: S, pointer: O, family: fourier, relative_to: P}
+  - query: {kind: kernel, target: S, family_a: fourier, family_b: computational}
+  - query: {kind: interference, target: S, family_a: computational, family_b: fourier,
+            i: 1, j: 1, k: 2}
+  - query: {kind: marginal, target: T, family: fourier, relative_to: P}
+"""
+    events = parse_scenario(text).events
+    on_s = [events[0].family, events[2].params["family"], events[3].params["family"],
+            events[4].params["family_a"], events[5].params["family_b"]]
+    assert all(family is on_s[0] for family in on_s)
+    assert events[1].family is events[6].params["family"]
+    assert events[1].family.dim == 3 and on_s[0].dim == 2
+    pairs = _parse_kernel_request("dim: 2\npairs: [[computational, fourier], "
+                                  "[fourier, computational]]\n")
+    assert pairs[0][0] is pairs[1][1] and pairs[0][1] is pairs[1][0]
+
+
+def test_a_declared_fourier_wins_over_the_builtin_in_every_event():
+    inv = 1 / np.sqrt(2)
+    declared = np.array([[inv, inv], [inv, -inv]], dtype=complex)
+    events = ("  - measure: {observer: O, target: S, family: fourier}\n"
+              "  - query: {kind: marginal, target: S, family: fourier, relative_to: P}\n"
+              "  - query: {kind: completion, system: S, pointer: O, family: fourier, "
+              "relative_to: P}\n"
+              "  - query: {kind: kernel, target: S, family_a: fourier, family_b: computational}")
+    sc = parse_scenario(small_scenario(events, f"families: {{fourier: {_matrix_yaml(declared)}}}"))
+    families = [sc.events[0].family, sc.events[1].params["family"],
+                sc.events[2].params["family"], sc.events[3].params["family_a"]]
+    for family in families:
+        assert family.label == "fourier"
+        np.testing.assert_array_equal(family.basis, declared)
+    # the builtin dim-2 Fourier basis is the Hadamard one, up to sign: (0.6, 0.8) gives 0.98
+    report = run(sc)
+    np.testing.assert_allclose(report.entries[0]["collapse"]["probabilities"], [0.98, 0.02],
+                               atol=1e-12)
+
+
+def _counting_kernels(monkeypatch) -> list:
+    """Record the family pair of every kernel the runner builds."""
+    built = []
+    original = scenario_module.kernel_from_families
+
+    def counted(b, c):
+        built.append((b.label, c.label))
+        return original(b, c)
+
+    monkeypatch.setattr(scenario_module, "kernel_from_families", counted)
+    return built
+
+
+def _pair_queries(family_a: str, family_b: str) -> str:
+    return (f"  - query: {{kind: kernel, target: S, family_a: {family_a}, family_b: {family_b}}}\n"
+            f"  - query: {{kind: interference, target: S, family_a: {family_a}, "
+            f"family_b: {family_b}, i: 1, j: 1, k: 2}}\n")
+
+
+def test_a_run_builds_each_kernel_once(monkeypatch):
+    events = (_pair_queries("computational", "hadamard")
+              + _pair_queries("hadamard", "computational")) * 3
+    sc = parse_scenario(small_scenario(events))
+    expected = emit_report(run(sc), "structured")
+    built = _counting_kernels(monkeypatch)
+    report = run(sc)
+    assert built == [("computational", "hadamard"), ("hadamard", "computational")]
+    assert emit_report(report, "structured") == expected
+    kernels = [entry for entry in report.entries if entry["query"] == "kernel"]
+    assert [entry["p"] for entry in kernels[::2]] == [kernels[0]["p"]] * 3
+    assert kernels[0]["p"] is not kernels[2]["p"]  # every entry holds its own rows
+    run(sc)
+    assert len(built) == 4  # a second run builds its own
+
+
+# Passes the parser's 1e-9 unitarity rule, but paired with itself gives a p
+# 1.9e-9 from doubly stochastic
+SCALED_HADAMARD = np.sqrt((1 + 0.95e-9) / 2) * np.array([[1, 1], [1, -1]], dtype=complex)
+
+
+def test_a_pair_that_fails_its_check_raises_at_its_first_query(monkeypatch):
+    events = (_pair_queries("computational", "hadamard") * 2 + _pair_queries("f", "f")
+              + _pair_queries("hadamard", "computational"))
+    extra = f"families: {{f: {_matrix_yaml(SCALED_HADAMARD)}}}"
+    sc = parse_scenario(small_scenario(events, extra))
+    built = _counting_kernels(monkeypatch)
+    with pytest.raises(PreconditionViolated, match="^f <- f: kernel is not doubly stochastic"):
+        run(sc)
+    assert built == [("computational", "hadamard"), ("f", "f")]
 
 
 def test_every_reported_state_is_tagged():

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaqm.cli import main
-from relaqm.errors import RelaqmError
+from relaqm.errors import ParseError, RelaqmError
+from relaqm.parsing import _complex_value, _complex_vector
 from relaqm.scenario import (
     Report,
     _render_json,
@@ -256,8 +257,19 @@ def test_control_characters_in_names_give_a_json_report():
 _PAYLOADS = st.fixed_dictionaries(
     {"amplitudes": st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3)},
     optional={"relative_to": st.sampled_from(["", "O", None]), "systems": st.just(["S"])})
+_UNTAGGED = st.fixed_dictionaries({"amplitudes": st.lists(st.lists(_FLOATS, min_size=2,
+                                                                    max_size=2), max_size=2)})
+# lists of rows, which the linter skips whole when every row holds only scalars
+_ROW_LISTS = st.one_of(
+    st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4),  # [re, im] pairs
+    st.lists(st.lists(_FLOATS, min_size=17, max_size=17), max_size=3),
+    st.lists(st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none(), _TEXT),
+                      max_size=4), max_size=4),
+    st.lists(st.one_of(st.lists(_FLOATS, max_size=2), _UNTAGGED), min_size=1, max_size=4),
+    st.lists(st.lists(st.one_of(_FLOATS, _UNTAGGED), max_size=3), min_size=1, max_size=3),
+)
 _LINT_TREES = st.recursive(
-    st.one_of(_SCALARS, _PAYLOADS),
+    st.one_of(_SCALARS, _PAYLOADS, _ROW_LISTS),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=3).map(tuple),
                                st.dictionaries(st.one_of(_TEXT, st.integers(0, 3)),
@@ -270,6 +282,56 @@ _LINT_TREES = st.recursive(
 def test_linter_matches_the_recursive_reference(entries):
     report = Report(scenario="x", seed=0, entries=entries)
     assert lint_report(report) == reference_lint(report)
+
+
+# ---------------------------------------------------------------------------
+# amplitudes
+
+
+def reference_vector(raw, where: str) -> np.ndarray:
+    """The element-by-element amplitude reader."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ParseError(f"{where}: expected a non-empty list of amplitudes")
+    return np.array([_complex_value(x, where) for x in raw], dtype=complex)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, math.nan, math.inf, -math.inf])
+_PART = st.one_of(
+    st.floats(width=64), _EDGE_FLOATS, st.integers(-2**70, 2**70), st.integers(10**308, 10**309),
+    st.booleans(), st.none(), st.sampled_from(["1e-3", "1.0", "x", ""]))
+_AMPLITUDE = st.one_of(
+    _PART,
+    st.lists(st.one_of(st.floats(width=64), _EDGE_FLOATS), min_size=2, max_size=2),
+    st.lists(_PART, min_size=2, max_size=2),
+    st.tuples(_PART, _PART),
+    st.lists(_PART, max_size=3),  # pairs of the wrong length among them
+)
+_FINITE = st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                    _EDGE_FLOATS.filter(math.isfinite))
+_AMPLITUDE_LISTS = st.one_of(
+    st.lists(st.lists(_FINITE, min_size=2, max_size=2), max_size=6),  # the one-pass form
+    st.lists(st.lists(st.one_of(_FINITE, _EDGE_FLOATS), min_size=2, max_size=2), max_size=4),
+    st.lists(_AMPLITUDE, max_size=6),
+    st.lists(_AMPLITUDE, max_size=4).map(tuple),
+    _PART,
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_AMPLITUDE_LISTS)
+def test_amplitude_reader_matches_the_element_reader(raw):
+    """Bit for bit, the sign of zero included; or the same ParseError text."""
+    try:
+        expected = reference_vector(raw, "preparations.S")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            _complex_vector(raw, "preparations.S")
+        assert str(err.value) == str(exc)
+    else:
+        got = _complex_vector(raw, "preparations.S")
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
