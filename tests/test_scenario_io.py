@@ -257,12 +257,12 @@ def test_control_characters_in_names_give_a_json_report():
 _PAYLOADS = st.fixed_dictionaries(
     {"amplitudes": st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3)},
     optional={"relative_to": st.sampled_from(["", "O", None]), "systems": st.just(["S"])})
-_UNTAGGED = st.fixed_dictionaries({"amplitudes": st.lists(st.lists(_FLOATS, min_size=2,
-                                                                    max_size=2), max_size=2)})
+_UNTAGGED = st.fixed_dictionaries(
+    {"amplitudes": st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=2)})
 # lists of rows, which the linter skips whole when every row holds only scalars
 _ROW_LISTS = st.one_of(
     st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4),  # [re, im] pairs
-    st.lists(st.lists(_FLOATS, min_size=17, max_size=17), max_size=3),
+    st.lists(st.lists(_FLOATS, min_size=17, max_size=17), max_size=3),  # longer than one line
     st.lists(st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none(), _TEXT),
                       max_size=4), max_size=4),
     st.lists(st.one_of(st.lists(_FLOATS, max_size=2), _UNTAGGED), min_size=1, max_size=4),
