@@ -36,15 +36,110 @@ def parse_yaml(text: str):
     """The data of one YAML document, read with PyYAML's safe loader.
 
     The libyaml-backed ``CSafeLoader`` is used where PyYAML was built with
-    libyaml; the pure-Python ``SafeLoader`` builds the same tree, only slower.
-    A syntax error is a :class:`ParseError`.
+    libyaml, the pure-Python ``SafeLoader`` otherwise; either composes the
+    document into nodes.  The tree is then built from those nodes here: a
+    ``str`` scalar is its text, a ``float`` scalar whose text ``float()`` reads
+    as a finite number is that number, and ``seq`` nodes and ``map`` nodes
+    keyed by plain scalars other than a ``<<`` merge key or a ``=`` value
+    key are filled in place.
+    Every other node -- ints, bools, nulls, merge keys, non-core tags such as
+    ``!!binary`` or ``!!timestamp``, ``1:30.5``, ``.inf``, ``.NaN`` -- goes to
+    that loader's own ``SafeConstructor``, so the values are the ones
+    ``yaml.load`` builds.  A syntax error, and anything the loader raises
+    while building the tree (``!!float abc``, or nesting deeper than the
+    pure-Python loader can compose), is a :class:`ParseError`.
     """
     import yaml  # deferred: `unistochastic` and `lattice-check` read no YAML
 
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+        try:
+            root = loader.get_single_node()
+            return None if root is None else _tree(loader, root)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ParseError(f"not a well-formed document: {exc}") from exc
+    except _BUILD_ERRORS as exc:
+        raise ParseError(f"not a well-formed document: a value cannot be read "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
+# What building the tree raises besides ConstructorError: SafeConstructor on
+# a tagged scalar it cannot read, ``!!float abc`` (ValueError), ``!!bool
+# maybe`` (KeyError), ``!!timestamp nope`` (AttributeError), ``!!int ''``
+# (IndexError); a key tagged as a collection, ``!!seq x`` (TypeError); and
+# RecursionError from a document nested deeper than the pure-Python
+# composer recurses.
+_BUILD_ERRORS = (AttributeError, LookupError, RecursionError, TypeError, ValueError)
+_STR = "tag:yaml.org,2002:str"
+_FLOAT = "tag:yaml.org,2002:float"
+_SEQ = "tag:yaml.org,2002:seq"
+_MAP = "tag:yaml.org,2002:map"
+# keys that SafeConstructor rewrites before it builds a mapping
+_REWRITTEN_KEYS = frozenset(("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"))
+
+
+def _tree(loader, root):
+    """The data of the composed document ``root``, built as ``yaml.load`` would.
+
+    The walk keeps its own stack, so a deep document does not recurse.  A
+    collection is registered in the loader's ``constructed_objects``, the
+    constructor's per-document memo of node -> object, before it is filled:
+    an alias is the same object, a collection that holds itself holds itself,
+    and the constructor, for the nodes it is handed, shares the objects built
+    here (and the other way round)."""
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    built = loader.constructed_objects
+    construct = loader.construct_object
+    unfilled = []
+
+    def value(node):
+        cls, tag = node.__class__, node.tag
+        if cls is ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag == _FLOAT:
+                try:
+                    number = float(node.value)
+                except ValueError:
+                    pass
+                else:
+                    if number - number == 0.0:  # finite: inf - inf and nan - nan are nan
+                        return number
+            return construct(node)
+        if node in built:
+            return built[node]
+        if cls is SequenceNode and tag == _SEQ:
+            obj = []
+        elif cls is MappingNode and tag == _MAP and all(
+                key.__class__ is ScalarNode and key.tag not in _REWRITTEN_KEYS
+                for key, _ in node.value):
+            obj = {}
+        else:
+            return construct(node)
+        built[node] = obj
+        unfilled.append((node, obj))
+        return obj
+
+    data = value(root)
+    while unfilled:
+        node, obj = unfilled.pop()
+        if obj.__class__ is list:
+            obj.extend([value(child) for child in node.value])
+        else:
+            for key_node, value_node in node.value:
+                key = value(key_node)
+                obj[key] = value(value_node)
+    # the collections the constructor built are filled last, as its own
+    # construct_document fills them
+    while loader.state_generators:
+        generators, loader.state_generators = loader.state_generators, []
+        for generator in generators:
+            for _ in generator:
+                pass
+    return data
 
 
 def _exponent_hint(raw) -> str:
@@ -104,6 +199,12 @@ def _square_matrix(raw, where: str) -> np.ndarray:
         raise ValidationError("NonSquareMatrix",
                               f"{where}: {len(rows)} rows of {rows[0].size} entries")
     return np.array(rows, dtype=complex)
+
+
+def _optional(mapping: dict, key: str, default):
+    """An optional field: absent or ``null``, it keeps its ``default``."""
+    raw = mapping.get(key)
+    return default if raw is None else raw
 
 
 def _name(raw, where: str):
@@ -180,9 +281,7 @@ def _parse_kernel_request(text: str) -> list[tuple[CompleteFamily, CompleteFamil
         raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
                                           f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
     family = _family_reader(parse_families(doc.get("families")))
-    pairs = doc.get("pairs")
-    if pairs is None:
-        pairs = [["computational", "fourier"]]
+    pairs = _optional(doc, "pairs", [["computational", "fourier"]])
     if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2
             and all(isinstance(name, str) for name in pair) for pair in pairs):

@@ -53,8 +53,8 @@ from .kernels import (
 from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
                           premeasurement_unitary)
 from .parsing import (_FLOATS_ONLY, _LISTS_ONLY, _complex_vector, _family_reader, _name,
-                      _real_value, _square_matrix, parse_families, parse_yaml, read_text,
-                      resolve_family)
+                      _optional, _real_value, _square_matrix, parse_families, parse_yaml,
+                      read_text, resolve_family)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -177,7 +177,7 @@ def _observer(raw, where: str, observers, forbidden=()) -> str:
 def _family(body, where: str, dim: int, families) -> CompleteFamily:
     """The optional ``family`` field, ``computational`` by default, at ``dim``;
     ``families`` is the document's :func:`~relaqm.parsing._family_reader`."""
-    return families(_name(body.get("family", "computational"), where), dim)
+    return families(_name(_optional(body, "family", "computational"), where), dim)
 
 
 def _check_pointer(where: str, pointer: str, system: str, dims) -> None:
@@ -314,7 +314,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
 
-    seed = doc.get("seed", 0)
+    seed = _optional(doc, "seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ParseError("seed must be a nonnegative integer")
 
@@ -384,9 +384,7 @@ def parse_scenario(text: str) -> Scenario:
                               f"preparations name undeclared system {extra!r}")
 
     scenario_fields = (observers, families, dims)
-    raw_events = doc.get("events")
-    if raw_events is None:
-        raw_events = []
+    raw_events = _optional(doc, "events", [])
     if not isinstance(raw_events, list):
         raise ParseError("events must be a list")
     events = []
@@ -404,7 +402,7 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ParseError(f"events[{idx}]: unknown event kind {key!r}")
 
-    name = _name(doc.get("name", "scenario"), "name")
+    name = _name(_optional(doc, "name", "scenario"), "name")
     return Scenario(name=name, systems=tuple(systems), observers=observers,
                     preparations=preparations, events=tuple(events), seed=seed)
 

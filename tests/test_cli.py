@@ -296,6 +296,18 @@ REJECTED_INPUTS = {
     "kernel_pairs_false": ("kernel", "dim: 2\npairs: false\n"),
     "kernel_pairs_empty": ("kernel", "dim: 2\npairs: []\n"),
     "kernel_pairs_one": ("kernel", "dim: 2\npairs: 1\n"),
+    # a tagged scalar the loader cannot read, in a field nothing reads
+    "kernel_float_tag_not_a_number": ("kernel", "dim: 2\nextra: !!float abc\n"),
+    "kernel_int_tag_not_a_number": ("kernel", "dim: 2\nextra: !!int abc\n"),
+    "kernel_timestamp_tag_not_a_date": ("kernel", "dim: 2\nextra: !!timestamp nope\n"),
+    "kernel_bool_tag_not_a_bool": ("kernel", "dim: 2\nextra: !!bool maybe\n"),
+    "kernel_empty_float_tag": ("kernel", "dim: 2\nextra: !!float ''\n"),
+    "float_tag_not_a_number": ("run", _scenario(extra="extra: !!float abc")),
+    "timestamp_tag_not_a_date": ("run", _scenario(extra="extra: !!timestamp 2024-13-01")),
+    # the pure-Python loader refuses a control character as it opens the text
+    "control_character": ("run", "name: a\x01b\n" + _scenario()),
+    # deeper than the pure-Python loader composes; with libyaml, not an integer
+    "kernel_dim_nested_600_deep": ("kernel", "dim: " + "[" * 600 + "]" * 600 + "\n"),
 }
 
 
@@ -333,6 +345,44 @@ def test_null_fields_keep_their_defaults(tmp_path, capsys, command, text, first_
     doc.write_text(text)
     assert main([command, str(doc)]) == 0
     assert capsys.readouterr().out.startswith(first_line)
+
+
+def _measure(family=""):
+    return _scenario(events=f"[{{measure: {{observer: O, target: S{family}}}}}]")
+
+
+def _marginal(family=""):
+    return _scenario(events=f"[{{query: {{kind: marginal, target: S{family}, relative_to: O}}}}]")
+
+
+def _completion(family=""):
+    return _scenario(events="[{query: {kind: completion, system: S, pointer: O"
+                            f"{family}, relative_to: P}}}}]")
+
+
+# id: (a scenario with the field null, the same scenario without it)
+NULL_FIELDS = {
+    "seed": (_scenario(extra="seed: null"), _scenario()),
+    "name": ("name: ~\n" + _scenario(), _scenario()),
+    "measure_family": (_measure(", family: null"), _measure()),
+    "marginal_family": (_marginal(", family: ~"), _marginal()),
+    "completion_family": (_completion(", family: null"), _completion()),
+}
+
+
+@pytest.mark.parametrize("null, absent", NULL_FIELDS.values(), ids=NULL_FIELDS.keys())
+def test_a_null_field_reads_as_an_absent_one(tmp_path, capsys, monkeypatch, null, absent):
+    """An optional field that is ``null`` keeps its default, as if it were
+    left out: the same exit and the same report.  (`events`, `families` and
+    `pairs` are in test_null_fields_keep_their_defaults above.)"""
+    monkeypatch.delenv("RELAQM_SEED", raising=False)
+    reports = []
+    for text in (null, absent):
+        doc = tmp_path / "input.yaml"
+        doc.write_text(text)
+        assert main(["run", str(doc), "--format", "structured"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):

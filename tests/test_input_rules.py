@@ -49,6 +49,24 @@ BIG_READY = "{S: [1.0, 0.0], O: [1.0" + ", 0.0" * 512 + "]}"
 CASES = {
     # scenario structure
     "negative_seed": ("run", scenario(extra="seed: -1\n"), "error: seed must be"),
+    # an optional field that is null keeps its default; any other value has
+    # the field's type, falsy or not
+    "seed_false": ("run", scenario(extra="seed: false\n"), "error: seed must be"),
+    "seed_empty_string": ("run", scenario(extra="seed: ''\n"), "error: seed must be"),
+    "name_empty_string": ("run", scenario(extra="name: ''\n"),
+                          "error: name: a name must be a non-empty string"),
+    "name_false": ("run", scenario(extra="name: false\n"),
+                   "error: name: a name must be a non-empty string"),
+    "measure_family_false": ("run", scenario(events=measure(family="false")),
+                             "error: events[0].measure: a name must be a non-empty string"),
+    "marginal_family_empty": ("run", scenario(
+        events=query("kind: marginal, target: S, family: '', relative_to: O")),
+        "error: events[0].query: a name must be a non-empty string"),
+    # a value the loader cannot build
+    "float_tag_not_a_number": ("kernel", "dim: 2\nextra: !!float abc\n",
+                               "error: not a well-formed document: a value cannot be read"),
+    "bool_tag_not_a_bool": ("run", scenario(extra="extra: !!bool maybe\n"),
+                            "error: not a well-formed document: a value cannot be read"),
     "empty_systems": ("run", scenario(systems="[]"), "error: systems must be"),
     "non_positive_dim": ("run", scenario(systems="[{name: S, dim: 0}, {name: O, dim: 2}]"),
                          "error: systems[0]: dim must be"),

@@ -9,6 +9,7 @@ import copy
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -359,13 +360,128 @@ _DOCS = st.recursive(
     max_leaves=25)
 
 
+# Scalars that parse_yaml builds itself and ones it hands to SafeConstructor,
+# readable or not, and keys among them the constructor rewrites (<<, =).
+_TAGGED_SCALARS = [
+    "1_000.5", "1:30.5", ".inf", "-.inf", ".NaN", "010", "-0.0", "0.0", "2.5", "-7", "0x1f",
+    "1e3", "1.0e+3", "abc", "'s'", "~", "yes", "=", "2024-01-01", "2024-01-01 10:00:00+05:00",
+    "!!float 1.5", "!!float abc", "!!float '-0.0'", "!!float '1_0.5'", "!!float ''",
+    "!!int 7", "!!int abc", "!!str 12", "!!str ''", "!!binary aGVsbG8=", "!!binary '!'",
+    "!!timestamp 2024-01-01", "!!timestamp nope", "!!bool maybe", "!!set {a, b}", "!!set {}",
+    "!!seq x"]
+_TAGGED_KEYS = ["a", "b", "'1'", "1", "-0.0", "~", "<<", "=", "!!float 2.5", "!!seq x"]
+_TAGGED_TREES = st.recursive(
+    st.one_of(st.sampled_from(_TAGGED_SCALARS).map(lambda text: ("scalar", text)),
+              st.integers(0, 9).map(lambda k: ("alias", k))),
+    lambda children: st.one_of(
+        st.tuples(st.just("seq"), st.booleans(), st.lists(children, max_size=4)),
+        st.tuples(st.just("map"), st.booleans(),
+                  st.lists(st.tuples(st.sampled_from(_TAGGED_KEYS), children), max_size=4))),
+    max_leaves=20)
+
+
+def _flow_text(tree, anchors) -> str:
+    """``tree`` as flow YAML.  A collection may carry an anchor, and an alias
+    names one of the anchors opened before it, its own enclosing ones too: so
+    a list can hold itself."""
+    kind = tree[0]
+    if kind == "scalar":
+        return tree[1]
+    if kind == "alias":
+        return f"*{anchors[tree[1] % len(anchors)]}" if anchors else "~"
+    _, anchored, items = tree
+    head = ""
+    if anchored:
+        anchors.append(f"a{len(anchors)}")
+        head = f"&{anchors[-1]} "
+    if kind == "seq":
+        return head + "[" + ", ".join(_flow_text(item, anchors) for item in items) + "]"
+    return head + "{" + ", ".join(f"{key}: {_flow_text(value, anchors)}"
+                                  for key, value in items) + "}"
+
+
+def _same_tree(a, b) -> bool:
+    """Equal trees: the same types, floats with the same bits (so the sign of
+    zero counts), and the same sharing: one collection on one side is one on
+    the other.  Walked with a stack, so trees that hold themselves end."""
+    partner: dict[int, int] = {}
+    partnered: set[int] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, float):
+            if struct.pack("<d", x) != struct.pack("<d", y):
+                return False
+        elif isinstance(x, (list, tuple, dict, set)):
+            if id(x) in partner or id(y) in partnered:
+                if partner.get(id(x)) != id(y):
+                    return False
+                continue
+            partner[id(x)] = id(y)
+            partnered.add(id(y))
+            if len(x) != len(y):
+                return False
+            if isinstance(x, dict):
+                stack.extend(zip(x, y))
+                stack.extend(zip(x.values(), y.values()))
+            elif isinstance(x, set):
+                if sorted(map(repr, x)) != sorted(map(repr, y)):
+                    return False
+            else:
+                stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
+
+
+def _assert_parse_yaml_is_yaml_load(text: str) -> None:
+    """parse_yaml builds what yaml.load builds with the loader it picks, with
+    libyaml and without; or both refuse, parse_yaml with a ParseError."""
+    for without_libyaml in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if without_libyaml:
+                patch.delattr(yaml, "CSafeLoader")
+            try:
+                expected = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            except Exception:  # noqa: BLE001 -- whatever the loader raises, parse_yaml refuses
+                with pytest.raises(ParseError):
+                    parse_yaml(text)
+            else:
+                assert _same_tree(parse_yaml(text), expected), text
+
+
 @needs_libyaml
 @settings(deadline=None, max_examples=200)
-@given(_DOCS, st.sampled_from([None, True, False]))
-def test_loaders_build_equal_trees_for_random_documents(doc, flow):
+@given(_DOCS, st.sampled_from([None, True, False]), _TAGGED_TREES)
+def test_loaders_build_equal_trees_for_random_documents(doc, flow, tagged):
+    """Both loaders build one tree for a dumped document, and parse_yaml
+    builds yaml.load's tree for it and for a flow document with anchors,
+    aliases, merge keys and tagged scalars."""
     text = yaml.safe_dump({"name": "random", "events": doc}, default_flow_style=flow,
                           allow_unicode=True)
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    _assert_parse_yaml_is_yaml_load(text)
+    _assert_parse_yaml_is_yaml_load(_flow_text(tagged, []))
+
+
+@pytest.mark.parametrize("text", [
+    "&a [1, *a, {k: *a}]",
+    "base: &b {x: 1.5, y: -0.0}\nmerged: {<<: *b, y: 2}\nmany: {<<: [*b, {z: 3}], x: 0}\n",
+    "[1_000.5, 1:30.5, .inf, -.inf, .NaN, 010, -0.0, !!float 1, !!int '7', !!str 8]",
+    "{=: 1, !!binary aGVsbG8=: 2, 2024-01-01: !!set {a}, ~: &o !!omap [{k: *o}]}",
+    "{a: 1, a: 2, 1: x, 1.0: y, true: z}",
+    "? [1, 2]\n: unhashable\n",
+    "a: =\n",
+    "a: !!seq x\n",
+    "a: !custom 1\n",
+    "",
+], ids=["self_holding_list", "merge_keys", "float_and_int_forms", "constructor_nodes",
+        "repeated_keys", "unhashable_key", "value_key_as_value", "scalar_tagged_seq",
+        "unknown_tag", "empty"])
+def test_parse_yaml_builds_what_yaml_load_builds(text):
+    _assert_parse_yaml_is_yaml_load(text)
 
 
 @needs_libyaml
@@ -415,6 +531,43 @@ def test_both_loaders_reject_malformed_documents(loader, tmp_path, capsys, comma
     doc.write_text(text)
     assert main([command, str(doc)]) == 2
     assert "not a well-formed document" in capsys.readouterr().err
+
+
+def _alias_lists(depth: int = 10) -> str:
+    """Lists of ten, each level ten aliases of the one below: 10**10 leaves
+    if the aliases were expanded, in a few hundred bytes."""
+    lines = ["  l0: &l0 [x, x, x, x, x, x, x, x, x, x]"]
+    lines += [f"  l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]" for i in range(1, depth)]
+    return "\n".join(lines) + "\n"
+
+
+def test_aliased_lists_under_an_ignored_key_are_shared(loader, tmp_path, capsys):
+    text = "dim: 2\nignored:\n" + _alias_lists()
+    doc = tmp_path / "aliases.yaml"
+    doc.write_text(text)
+    assert main(["kernel", str(doc)]) == 0
+    assert capsys.readouterr().out.startswith("kernel computational <- fourier")
+    lists = parse_yaml(text)["ignored"]
+    innermost = lists["l9"]
+    for _ in range(9):
+        innermost = innermost[7]
+    assert innermost is lists["l0"]
+    assert all(entry is lists["l8"] for entry in lists["l9"])
+
+
+def test_a_deep_list_under_an_ignored_key(loader, tmp_path, capsys):
+    """libyaml composes 20 000 nested lists and parse_yaml builds them without
+    recursing; the pure-Python composer recurses, and its refusal is an error
+    line, not a traceback."""
+    doc = tmp_path / "deep.yaml"
+    doc.write_text("dim: 2\nignored: " + "[" * 20_000 + "]" * 20_000 + "\n")
+    code = main(["kernel", str(doc)])
+    captured = capsys.readouterr()
+    if loader == "libyaml":
+        assert code == 0, captured.err
+    else:
+        assert code == 2
+        assert captured.err.startswith("error: not a well-formed document")
 
 
 def test_golden_report_with_either_loader(loader, capsys):
