@@ -57,10 +57,11 @@ LATTICE_ARRAYS = 18
 # complex values an n x n unistochastic search holds at its peak, measured on
 # Haar |U|^2: the projections hold SEARCH_ARRAYS N_STARTS x n x n arrays (peak
 # resident growth 9.6-9.7 at n = 64 and 96, tracemalloc 8.1-9.1 at n = 8-32);
-# the Gauss-Newton polish holds POLISH_ARRAYS n^2 x n^2 arrays, its Hermitian
-# basis and Jacobian (resident 4.6-4.7 at n = 24-40, tracemalloc 4.0-4.6)
+# the Gauss-Newton polish holds POLISH_ARRAYS n^2 x n^2 arrays' worth, its real
+# Jacobian, J^T J and the damped copy the solve takes (resident 2.2-2.6 at
+# n = 24-40, tracemalloc 2.0-2.7 at n = 8-32)
 SEARCH_ARRAYS = 10
-POLISH_ARRAYS = 5
+POLISH_ARRAYS = 3
 
 
 def _effective_seed(flag: int | None, fallback: int | None = None) -> int | None:
@@ -148,10 +149,10 @@ def _cmd_unistochastic(args) -> int:
         analytic = decision.open_links is None
         sys.stdout.write(f"triangle criterion (3x3): "
                          f"{'satisfied' if analytic else 'violated'}\n")
-        if analytic != decision.accepted() and decision.verdict != "inconclusive":
+        if analytic != (decision.verdict == "unistochastic") and decision.verdict != "inconclusive":
             sys.stderr.write("verdict disagrees with the analytic criterion\n")
             return EXIT_NUMERIC
-    if decision.accepted():
+    if decision.verdict == "unistochastic":
         u = phase_fix(decision.U)
         sys.stdout.write("realizing unitary (gauge-fixed):\n")
         for row in u:

@@ -264,19 +264,14 @@ class UnistochasticResult:
     start_residuals: np.ndarray
     iterations: int
 
-    def accepted(self) -> bool:
-        """The residual is below OPT_ATOL: p is certified unistochastic."""
-        return self.residual < OPT_ATOL
-
-    def all_stalled(self) -> bool:
-        """Every start stayed above STALL_RESIDUAL: declare non-unistochastic."""
-        return bool(np.min(self.start_residuals) > STALL_RESIDUAL)
-
     @property
     def verdict(self) -> str:
-        if self.accepted():
+        """``unistochastic`` when the residual is below OPT_ATOL,
+        ``non-unistochastic`` when every start stayed above STALL_RESIDUAL,
+        else ``inconclusive``."""
+        if self.residual < OPT_ATOL:
             return "unistochastic"
-        if self.all_stalled():
+        if np.min(self.start_residuals) > STALL_RESIDUAL:
             return "non-unistochastic"
         return "inconclusive"
 
@@ -292,31 +287,48 @@ def _project_modulus(a: np.ndarray, root: np.ndarray) -> np.ndarray:
     return root * phase
 
 
-def _hermitian_basis(dim: int) -> np.ndarray:
-    basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+def _generator_entries(dim: int) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of the Hermitian generators, in coordinate order.
+
+    Coordinate i < dim is E_ii; each pair i < j then takes two coordinates,
+    (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2).  Returns the
+    coordinate, row, column and coefficient of each of the 2 dim^2 - dim
+    entries.
+    """
+    s, t = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    entries = [(i, i, i, 1.0) for i in range(dim)]
+    a = dim
     for i in range(dim):
         for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return np.array(basis)
+            entries += [(a, i, j, s), (a, j, i, s), (a + 1, i, j, -t), (a + 1, j, i, t)]
+            a += 2
+    coord, row, col, coef = zip(*entries)
+    return np.array(coord), np.array(row), np.array(col), np.array(coef, dtype=complex)
 
 
-def _tangent_jacobian(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """d|U|^2 / dh_a at h = 0 for U -> e^{-iH} U, H = sum_a h_a basis[a].
+def _tangent_jacobian(u: np.ndarray, entries: tuple[np.ndarray, ...]) -> np.ndarray:
+    """d|U|^2 / dh_a at h = 0 for U -> e^{-iH} U, H = sum_a h_a G_a.
 
-    One column per basis element, one row per entry of U (row-major).
+    One column per generator G_a, one row per entry of U (row-major).  Row r
+    of G_a U is coef * U[col] for G_a's one entry in row r, and zero if it
+    has none.  The diagonal generators go through the same complex multiply,
+    which leaves rounding noise where exact arithmetic gives zero, and J is
+    returned Fortran-ordered: both keep J^T J, and so the polish, the same
+    to the last bit as with the dense basis.
     """
-    du = -1j * (basis @ u)
-    return (2 * np.real(np.conj(u) * du)).reshape(len(basis), -1).T
+    coord, row, col, coef = entries
+    dim = len(u)
+    jac = np.zeros((dim * dim, dim, dim))
+    jac[coord, row] = 2 * np.real(np.conj(u[row]) * (-1j * (coef[:, None] * u[col])))
+    return jac.reshape(dim * dim, -1).T
+
+
+def _hermitian(step: np.ndarray, entries: tuple[np.ndarray, ...], dim: int) -> np.ndarray:
+    """H = sum_a step[a] G_a, filled entry by entry."""
+    coord, row, col, coef = entries
+    h = np.zeros((dim, dim), dtype=complex)
+    np.add.at(h, (row, col), step[coord] * coef)
+    return h
 
 
 def _gauss_newton_polish(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -326,20 +338,20 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, floa
     at most 40 steps and none once the residual is below 1e-13;
     quadratically convergent where the projection iteration only crawls.
     """
-    basis = _hermitian_basis(p.shape[0])
-    n_par = len(basis)
+    dim = p.shape[0]
+    entries = _generator_entries(dim)
     resid = (np.abs(u) ** 2 - p).ravel()
     f = float(np.linalg.norm(resid))
     lam = 1e-8
     for _ in range(40):
         if f < 1e-13:
             break
-        jac = _tangent_jacobian(u, basis)
+        jac = _tangent_jacobian(u, entries)
+        jtj, grad = jac.T @ jac, -jac.T @ resid
         improved = False
         for _attempt in range(8):
-            step = np.linalg.solve(jac.T @ jac + lam * np.eye(n_par), -jac.T @ resid)
-            h = np.tensordot(step, basis, axes=(0, 0))
-            w, v = np.linalg.eigh(h)
+            step = np.linalg.solve(jtj + lam * np.eye(dim * dim), grad)
+            w, v = np.linalg.eigh(_hermitian(step, entries, dim))
             u_new = (v * np.exp(-1j * w)) @ v.conj().T @ u
             resid_new = (np.abs(u_new) ** 2 - p).ravel()
             f_new = float(np.linalg.norm(resid_new))
@@ -530,9 +542,6 @@ class UnistochasticDecision:
     U: np.ndarray | None = None
     residual: float | None = None
     open_links: tuple[str, int, int, float] | None = None
-
-    def accepted(self) -> bool:
-        return self.verdict == "unistochastic"
 
 
 def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:

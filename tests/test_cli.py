@@ -4,12 +4,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 
-from relaqm import cli, scenario
+from relaqm import cli, kernels, scenario
 from relaqm.cli import main
-from relaqm.kernels import UnistochasticDecision
+from relaqm.hilbert import haar_unitary
+from relaqm.kernels import UnistochasticDecision, unistochastic_search
 from relaqm.scenario import emit_report, fixture_path
 
 WIGNER = str(fixture_path("wigner_friend.yaml"))
@@ -99,6 +101,27 @@ def test_unistochastic_accepts_a_2x2_within_opt_atol(tmp_path, capsys):
     assert "chain links" not in out
 
 
+def test_unistochastic_haar_4x4_is_decided_by_the_search(tmp_path, capsys, monkeypatch):
+    """A 4x4 has no closed form and a Haar |U|^2 closes every chain link, so
+    the search decides it, and it accepts."""
+    p = np.abs(haar_unitary(4, np.random.default_rng(0))) ** 2
+    matrix = tmp_path / "haar4.txt"
+    np.savetxt(matrix, p, fmt="%.17g")
+    searches = []
+
+    def search(p, seed=0):
+        searches.append(seed)
+        return unistochastic_search(p, seed)
+
+    monkeypatch.setattr(kernels, "unistochastic_search", search)
+    assert main(["unistochastic", str(matrix)]) == 0
+    assert searches == [0]
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: unistochastic" in out
+    residual, = (line for line in out if line.startswith("residual: "))
+    assert float(residual.split()[1]) < 1e-6
+
+
 def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.9 0.2\n0.1 0.8\n")
@@ -108,11 +131,11 @@ def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):
 
 
 def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
-    """An n x n decision holds max(10 N_STARTS n**2, 5 n**4) amplitudes.  With
-    the limit lowered to 300000, 15 x 15 is allowed and 16 x 16 refused by the
-    polish term alone (327680, against 163840 for the projections), before
+    """An n x n decision holds max(10 N_STARTS n**2, 3 n**4) amplitudes.  With
+    the limit lowered to 300000, 17 x 17 is allowed and 18 x 18 refused by the
+    polish term alone (314928, against 207360 for the projections), before
     the decision runs; the decision is replaced, so neither size searches."""
-    assert (cli.SEARCH_ARRAYS, cli.POLISH_ARRAYS, cli.N_STARTS) == (10, 5, 64)
+    assert (cli.SEARCH_ARRAYS, cli.POLISH_ARRAYS, cli.N_STARTS) == (10, 3, 64)
     monkeypatch.setattr(cli, "_MAX_AMPLITUDES", 300_000)
     decided = []
 
@@ -121,13 +144,13 @@ def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
         return UnistochasticDecision("inconclusive", residual=1.0)
 
     monkeypatch.setattr(cli, "decide_unistochastic", decide)
-    for n, code in ((16, 2), (15, 3)):
+    for n, code in ((18, 2), (17, 3)):
         uniform = tmp_path / f"uniform{n}.txt"
         uniform.write_text((" ".join([repr(1 / n)] * n) + "\n") * n)
         assert main(["unistochastic", str(uniform)]) == code
-    assert decided == [15]
+    assert decided == [17]
     err = capsys.readouterr().err
-    assert err.startswith("error: TooLarge:") and "16x16" in err
+    assert err.startswith("error: TooLarge:") and "18x18" in err
 
 
 def test_kernel_tables(capsys):

@@ -19,7 +19,8 @@ from relaqm.hilbert import OPT_ATOL, haar_unitary, orthonormality_defect
 from relaqm.kernels import (
     STALL_RESIDUAL,
     TransitionKernel,
-    _hermitian_basis,
+    _generator_entries,
+    _hermitian,
     _open_chain_link,
     _project_modulus,
     _project_unitary,
@@ -349,7 +350,7 @@ def test_hand_off_stops_haar_searches_early():
     draws = {dim: np.abs(haar_unitary(dim, rng)) ** 2 for dim in (3, 4, 6, 8)}
     for dim in (6, 8):
         result = unistochastic_search(draws[dim])
-        assert result.accepted()
+        assert result.verdict == "unistochastic"
         assert result.iterations < 100
 
 
@@ -362,7 +363,7 @@ def test_search_on_haar_moduli_never_rejects_and_accepts_only_solutions(dim, dra
     p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
     result = unistochastic_search(p, seed=seed)
     assert result.verdict != "non-unistochastic"
-    if result.accepted():
+    if result.verdict == "unistochastic":
         assert np.max(np.abs(np.abs(result.U) ** 2 - p)) < 1e-6
         assert np.max(np.abs(result.U.conj().T @ result.U - np.eye(dim))) < 1e-9
 
@@ -425,8 +426,8 @@ def test_decision_matches_the_triangle_criterion_without_a_search(t, monkeypatch
     p = mix(t)
     decision = decide_unistochastic(p)
     assert decision.verdict != "inconclusive"
-    assert decision.accepted() == triangle_criterion_3x3(p)
-    if decision.accepted():
+    assert (decision.verdict == "unistochastic") == triangle_criterion_3x3(p)
+    if decision.verdict == "unistochastic":
         assert decision.residual < 1e-12
     else:
         assert decision.U is None and decision.open_links[0] == "rows"
@@ -446,7 +447,7 @@ def test_decision_handles_zero_links(monkeypatch):
     monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
     for p in _zero_link_inputs():
         decision = decide_unistochastic(p)
-        assert decision.accepted(), p
+        assert decision.verdict == "unistochastic", p
         assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-15
         assert orthonormality_defect(decision.U) < 1e-15
 
@@ -478,7 +479,7 @@ def test_closed_form_is_checked_against_p(monkeypatch):
     searches = _count_searches(monkeypatch)
     decision = decide_unistochastic(p)
     assert searches == [0]
-    assert decision.accepted() and decision.residual < OPT_ATOL
+    assert decision.verdict == "unistochastic" and decision.residual < OPT_ATOL
     assert np.linalg.norm(np.abs(decision.U) ** 2 - p) == pytest.approx(decision.residual)
 
 
@@ -509,7 +510,7 @@ def test_a_link_within_opt_atol_of_closing_is_not_certified(name, monkeypatch):
     p = NEAR_UNISTOCHASTIC[name]
     searches = _count_searches(monkeypatch)
     decision = decide_unistochastic(p)
-    assert decision.accepted() and decision.residual < OPT_ATOL
+    assert decision.verdict == "unistochastic" and decision.residual < OPT_ATOL
     assert decision.open_links is None and _open_chain_link(p) is None
     assert searches == ([0] if len(p) == 4 else [])
     if name == "3x3":
@@ -549,14 +550,42 @@ def test_decision_validates_input():
         decide_unistochastic([[0.9, 0.2], [0.1, 0.8]])
 
 
+def dense_hermitian_basis(dim: int) -> np.ndarray:
+    """The dim^2 generators as dense matrices, in the polish's coordinate order."""
+    basis = []
+    for i in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = e[j, i] = 1 / np.sqrt(2)
+            basis.append(e)
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = -1j / np.sqrt(2)
+            e[j, i] = 1j / np.sqrt(2)
+            basis.append(e)
+    return np.array(basis)
+
+
 def test_tangent_jacobian_matches_the_column_loop():
+    """The generator table gives the dense basis's Jacobian and step H bit for
+    bit.  The diagonal columns hold rounding noise, not zeros, and J stays
+    Fortran-ordered, so that J^T J takes the same BLAS path."""
     rng = np.random.default_rng(11)
-    for dim in (2, 3, 5, 8):
+    for dim in (2, 3, 5, 8, 16):
         u = haar_unitary(dim, rng)
-        basis = _hermitian_basis(dim)
+        basis = dense_hermitian_basis(dim)
+        entries = _generator_entries(dim)
+        assert len(entries[0]) == 2 * dim * dim - dim
         columns = [(2 * np.real(np.conj(u) * (-1j * (e @ u)))).ravel() for e in basis]
-        np.testing.assert_allclose(_tangent_jacobian(u, basis),
-                                   np.stack(columns, axis=1), rtol=0, atol=1e-15)
+        jac = _tangent_jacobian(u, entries)
+        np.testing.assert_array_equal(jac, np.stack(columns, axis=1))
+        assert jac.flags.f_contiguous
+        for step in rng.normal(size=(20, dim * dim)):
+            np.testing.assert_array_equal(_hermitian(step, entries, dim),
+                                          np.tensordot(step, basis, axes=(0, 0)))
 
 
 def test_triangle_criterion():
