@@ -51,9 +51,10 @@ EXIT_NUMERIC = 3
 # random triples per lattice-check sweep
 LATTICE_TRIALS = 200
 # dim x dim complex arrays a lattice-check sweep holds at its peak: its peak
-# resident growth over 16 dim^2 bytes was 17.6-18.9 at dims 512 and 768, of
-# which tracemalloc sees ~12 (numpy arrays); the rest is allocated outside numpy
-LATTICE_ARRAYS = 18
+# resident growth over 16 dim^2 bytes was 19.1 at dim 512 and 15.3 at dim 768
+# (seed 0, single-threaded BLAS); a v b and not-a, kept through a trial's first
+# laws, account for 1.0-1.5 of it
+LATTICE_ARRAYS = 20
 # complex values an n x n unistochastic search holds at its peak, measured on
 # Haar |U|^2: the projections hold SEARCH_ARRAYS N_STARTS x n x n arrays (peak
 # resident growth 9.6-9.7 at n = 64 and 96, tracemalloc 8.1-9.1 at n = 8-32);
@@ -113,9 +114,8 @@ def _cmd_kernel(args) -> int:
     out_lines = []
     for fam_a, fam_b in _parse_kernel_request(read_text(args.file)):
         kernel = kernel_from_families(fam_a, fam_b)
-        check = verify_double_stochastic(kernel.p)
         out_lines.append(f"kernel {kernel.to_family} <- {kernel.from_family} "
-                         f"(dim {kernel.dim}), max violation {check.max_violation:.3g}")
+                         f"(dim {kernel.dim}), max violation {kernel.check.max_violation:.3g}")
         for row in kernel.p:
             out_lines.append("  " + "  ".join(f"{x:.6f}" for x in row))
     sys.stdout.write("\n".join(out_lines) + "\n")
@@ -131,6 +131,11 @@ def _cmd_unistochastic(args) -> int:
         raise ParseError(f"{args.matrix}: not a matrix of real numbers ({exc})") from exc
     if p.size == 0:
         raise ParseError(f"{args.matrix}: no matrix entries")
+    if p.shape[0] != p.shape[1]:
+        raise ParseError(f"{args.matrix}: not a square matrix ({p.shape[0]}x{p.shape[1]})")
+    if not np.isfinite(p).all():
+        i, j = np.argwhere(~np.isfinite(p))[0]
+        raise ParseError(f"{args.matrix}: row {i + 1}, column {j + 1} is {p[i, j]}, not finite")
     dim = len(p)
     held = max(SEARCH_ARRAYS * N_STARTS * dim * dim, POLISH_ARRAYS * dim ** 4)
     if held > _MAX_AMPLITUDES:
@@ -173,19 +178,21 @@ def _lattice_laws(dim: int, rng: np.random.Generator):
     for _ in range(LATTICE_TRIALS):
         ranks = rng.integers(0, dim + 1, size=3)
         a, b, c = (random_question(dim, int(r), rng) for r in ranks)
-        if not same_question(join(a, b), join(b, a)):
+        ab, not_a = join(a, b), negate(a)
+        if not same_question(ab, join(b, a)):
             fails["commutativity"] += 1
         if not same_question(meet(a, b), meet(b, a)):
             fails["commutativity"] += 1
-        if not same_question(join(join(a, b), c), join(a, join(b, c))):
+        if not same_question(join(ab, c), join(a, join(b, c))):
             fails["associativity"] += 1
-        if not same_question(negate(join(a, b)), meet(negate(a), negate(b))):
+        if not same_question(negate(ab), meet(not_a, negate(b))):
             fails["de_morgan"] += 1
-        if not same_question(negate(negate(a)), a):
+        if not same_question(negate(not_a), a):
             fails["double_negation"] += 1
-        if not (same_question(join(a, negate(a)), always)
-                and same_question(meet(a, negate(a)), never)):
+        if not (same_question(join(a, not_a), always)
+                and same_question(meet(a, not_a), never)):
             fails["complement"] += 1
+        del ab, not_a  # not held through the orthomodular law: a lower peak (LATTICE_ARRAYS)
         small = random_question(dim, int(rng.integers(0, dim)), rng)
         extension = join(small, random_question(dim, int(rng.integers(0, dim)), rng))
         if not implies(small, extension) or not orthomodular_check(small, extension):
@@ -203,12 +210,10 @@ def _cmd_lattice_check(args) -> int:
                                           f"the {_MAX_AMPLITUDES} allowed")
     rng = np.random.default_rng(_effective_seed(args.seed, 0))
     fails = _lattice_laws(args.dim, rng)
-    bad = 0
     for law, count in fails.items():
         status = "pass" if count == 0 else f"FAIL ({count}/{LATTICE_TRIALS})"
         sys.stdout.write(f"{law:16s} {status}\n")
-        bad += count
-    return EXIT_OK if bad == 0 else EXIT_NUMERIC
+    return EXIT_NUMERIC if any(fails.values()) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ feasibility numerically by multi-start projection onto the unitary manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,22 +63,26 @@ class TransitionKernel:
 
     The unitary realizing p = |U|^2 is cached alongside; operations that need
     phases refuse kernels without one instead of re-deriving phases silently.
+    ``check`` is p's :class:`StochasticReport`, computed by the constructor,
+    never passed in.
     """
 
     p: np.ndarray
     to_family: str
     from_family: str
     U: np.ndarray | None = None
+    check: StochasticReport = field(init=False)
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {p.shape}")
-        report = verify_double_stochastic(p)
-        if not report.ok(ATOL):
-            raise ValueError(f"kernel is not doubly stochastic: {report}")
+        check = verify_double_stochastic(p)
+        if not check.ok(ATOL):
+            raise ValueError(f"kernel is not doubly stochastic: {check}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "check", check)
         if self.U is not None:
             u = np.array(self.U, dtype=complex)
             if orthonormality_defect(u) > ATOL:
@@ -283,8 +287,7 @@ def _project_unitary(a: np.ndarray) -> np.ndarray:
 
 def _project_modulus(a: np.ndarray, root: np.ndarray) -> np.ndarray:
     mag = np.abs(a)
-    phase = np.where(mag > 1e-15, a / np.where(mag > 1e-15, mag, 1.0), 1.0)
-    return root * phase
+    return root * np.divide(a, mag, out=np.ones_like(a), where=mag > 1e-15)
 
 
 def _generator_entries(dim: int) -> tuple[np.ndarray, ...]:

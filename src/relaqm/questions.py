@@ -66,12 +66,11 @@ class Question:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
+        b = np.array(self.basis, dtype=complex)
         if b.ndim != 2:
             raise ValueError(f"basis must be a (dim, rank) matrix, got shape {b.shape}")
         if orthonormality_defect(b) > ATOL:
             raise ValueError("basis columns are not orthonormal")
-        b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -135,13 +134,13 @@ def implies(q1: Question, q2: Question) -> bool:
 
 
 def negate(q: Question) -> Question:
-    """Orthogonal complement."""
-    dim = q.ambient_dim
+    """Orthogonal complement: the left singular vectors of q's basis past its
+    rank.  Orthonormal within ATOL, the basis has every singular value within
+    rank * ATOL of 1, far above RANK_TOL, so none of the first rank is dropped."""
     if q.rank == 0:
-        return Question.always(dim)
-    u, s, _ = np.linalg.svd(q.basis, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL))
-    return Question(u[:, rank:])
+        return Question.always(q.ambient_dim)
+    u, _, _ = np.linalg.svd(q.basis, full_matrices=True)
+    return Question(u[:, q.rank:])
 
 
 def join(q1: Question, q2: Question) -> Question:

@@ -43,12 +43,10 @@ from .dynamics import propagator
 from .hilbert import (_MAX_AMPLITUDES, ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator,
                       StateVector, _apply_on_factors, sample_index)
 from .kernels import (
-    StochasticReport,
     TransitionKernel,
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
-    verify_double_stochastic,
 )
 from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
                           premeasurement_unitary)
@@ -596,13 +594,12 @@ def _run_evolve(sc: Scenario, ev: EvolveEvent, idx: int, accounts,
     })
 
 
-def _kernel(params: dict, kernels: dict) -> tuple[TransitionKernel, StochasticReport]:
-    """The kernel of a query's family pair and its stochastic check, built at
-    the pair's first query and kept in ``kernels``, which one run owns."""
+def _kernel(params: dict, kernels: dict) -> TransitionKernel:
+    """The kernel of a query's family pair, built at the pair's first query
+    and kept in ``kernels``, which one run owns."""
     pair = (params["family_a"], params["family_b"])
     if pair not in kernels:
-        kernel = kernel_from_families(*pair)
-        kernels[pair] = kernel, verify_double_stochastic(kernel.p)
+        kernels[pair] = kernel_from_families(*pair)
     return kernels[pair]
 
 
@@ -610,7 +607,7 @@ def _run_query(ev: QueryEvent, idx: int, accounts, kernels: dict, report: Report
     params = ev.params
     entry = {"event": idx, "kind": "query", "query": ev.kind}
     if ev.kind in ("kernel", "interference"):
-        kernel, check = _kernel(params, kernels)
+        kernel = _kernel(params, kernels)
     else:
         account = accounts[params["relative_to"]]
         _require_active(account, f"event {idx}: {ev.kind} query")
@@ -653,7 +650,7 @@ def _run_query(ev: QueryEvent, idx: int, accounts, kernels: dict, report: Report
             "from_family": kernel.from_family,
             "p": kernel.p.tolist(),
             "unitary": np.stack((kernel.U.real, kernel.U.imag), axis=-1).tolist(),
-            "max_stochastic_violation": check.max_violation,
+            "max_stochastic_violation": kernel.check.max_violation,
         })
     elif ev.kind == "interference":
         i, j, k = params["i"] - 1, params["j"] - 1, params["k"] - 1
@@ -691,7 +688,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
             amps = np.multiply.outer(amps, sc.preparations[n]).ravel()
         accounts[obs] = _Account(obs, names, dims, amps)
 
-    # (family_a, family_b) -> (kernel, check); CompleteFamily compares by
+    # (family_a, family_b) -> kernel; CompleteFamily compares by
     # identity, and the scenario holds every family while the run lasts
     kernels: dict = {}
     for idx, ev in enumerate(sc.events):

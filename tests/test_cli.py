@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from relaqm import cli, kernels, scenario
+from relaqm import cli, kernels, questions, scenario
 from relaqm.cli import main
 from relaqm.hilbert import haar_unitary
 from relaqm.kernels import UnistochasticDecision, unistochastic_search
@@ -130,6 +130,23 @@ def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):
                                        "range 0, rows 0.1, columns 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 0\n", "not a square matrix (1x2)"),
+    # 70 rows would be refused as a 70 x 70 search if the shape went unchecked
+    ("1\n" * 70, "not a square matrix (70x1)"),
+    ("0.5 nan\n0.5 0.5\n", "row 1, column 2 is nan, not finite"),
+    ("1 0\n0 -inf\n", "row 2, column 2 is -inf, not finite"),
+], ids=["one_row", "one_column", "nan", "negative_inf"])
+def test_unistochastic_refuses_a_non_square_or_non_finite_matrix(tmp_path, capsys, text,
+                                                                 message):
+    """Refused as it is read: one error line naming the shape or the first
+    non-finite entry, and nothing on stdout."""
+    matrix = tmp_path / "p.txt"
+    matrix.write_text(text)
+    assert main(["unistochastic", str(matrix)]) == 2
+    assert capsys.readouterr() == ("", f"error: {matrix}: {message}\n")
+
+
 def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
     """An n x n decision holds max(10 N_STARTS n**2, 3 n**4) amplitudes.  With
     the limit lowered to 300000, 17 x 17 is allowed and 18 x 18 refused by the
@@ -218,6 +235,37 @@ def test_lattice_check_bad_dim(capsys):
     assert main(["lattice-check", "1"]) == 2
 
 
+def test_lattice_sweep_builds_each_operand_once(monkeypatch):
+    """Per trial: 8 joins and 5 negations, as join(a, b) and negate(a) are built once
+    and shared by the laws; 5 meets, 8 subspace comparisons and 18 inclusions.
+    The calls orthomodular_check and same_question make are counted too."""
+    calls = dict.fromkeys(("join", "negate", "meet", "same_question", "implies"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(questions, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(questions, name, counted)
+    assert set(cli._lattice_laws(3, np.random.default_rng(0)).values()) == {0}
+    assert {name: count / cli.LATTICE_TRIALS for name, count in calls.items()} == {
+        "join": 8, "negate": 5, "meet": 5, "same_question": 8, "implies": 18}
+
+
+# rng.random() after a dim-d sweep from default_rng(0): a sweep that draws
+# its questions in another order, or draws more, moves it
+NEXT_DRAW_AFTER_SWEEP = {2: 0.6926874566100577, 3: 0.4100481456407701,
+                         4: 0.2578568416764847, 5: 0.25023640196463104,
+                         6: 0.9664799121629685, 7: 0.5391835016417194,
+                         8: 0.27231320822260474}
+
+
+@pytest.mark.parametrize("dim", NEXT_DRAW_AFTER_SWEEP)
+def test_lattice_sweep_draws_a_fixed_sequence(dim):
+    rng = np.random.default_rng(0)
+    assert set(cli._lattice_laws(dim, rng).values()) == {0}
+    assert rng.random() == NEXT_DRAW_AFTER_SWEEP[dim]
+
+
 def test_seed_flag_overrides_scenario_seed(capsys):
     assert main(["run", WIGNER, "--seed", "3", "--format", "structured"]) == 0
     first = capsys.readouterr().out
@@ -256,6 +304,46 @@ def _scenario(dim_s=2, prep_s="[[1.0, 0.0], [0.0, 0.0]]", extra="", events="[]")
             f"events: {events}\n")
 
 
+def _counting_checks(monkeypatch) -> list:
+    """Record the shape of every matrix checked for double stochasticity, in
+    each relaqm module that binds verify_double_stochastic."""
+    checked = []
+    original = kernels.verify_double_stochastic
+
+    def counted(p):
+        checked.append(np.shape(p))
+        return original(p)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("relaqm")
+                and getattr(module, "verify_double_stochastic", None) is original):
+            monkeypatch.setattr(module, "verify_double_stochastic", counted)
+    return checked
+
+
+_PAIR_QUERIES = ("{query: {kind: kernel, target: S, family_a: %s, family_b: %s}}, "
+                 "{query: {kind: interference, target: S, family_a: %s, family_b: %s, "
+                 "i: 1, j: 1, k: 2}}")
+_TWO_PAIRS_TWICE = ", ".join([_PAIR_QUERIES % (("computational", "hadamard") * 2),
+                              _PAIR_QUERIES % (("hadamard", "computational") * 2)] * 2)
+
+
+@pytest.mark.parametrize("command, text, checks", [
+    ("kernel", "dim: 2\npairs: [[computational, hadamard], [computational, fourier], "
+               "[computational, hadamard]]\n", 3),
+    ("run", _scenario(events=f"[{_TWO_PAIRS_TWICE}]"), 2),
+], ids=["kernel_three_pairs", "run_two_distinct_pairs"])
+def test_each_kernel_is_checked_once(tmp_path, capsys, monkeypatch, command, text, checks):
+    """`relaqm kernel` checks each requested pair once, and a run each
+    distinct pair once, however many queries ask for it: the kernel keeps
+    the check it was built with."""
+    doc = tmp_path / "input.yaml"
+    doc.write_text(text)
+    checked = _counting_checks(monkeypatch)
+    assert main([command, str(doc)]) == 0
+    assert checked == [(2, 2)] * checks
+
+
 REJECTED_INPUTS = {
     "nan_preparation": ("run", _scenario(prep_s="[.nan, 1.0]")),
     "nan_duration": ("run", _scenario(
@@ -292,6 +380,8 @@ REJECTED_INPUTS = {
     "unistochastic_non_numeric_entry": ("unistochastic", "0.5 x\n0.5 0.5\n"),
     "unistochastic_ragged_rows": ("unistochastic", "0.5 0.5\n0.5 0.25 0.25\n"),
     "unistochastic_empty_file": ("unistochastic", ""),
+    "unistochastic_non_square": ("unistochastic", "1 0\n"),
+    "unistochastic_non_finite_entry": ("unistochastic", "0.5 nan\n0.5 0.5\n"),
     "duplicate_observer": ("run", _scenario().replace("observers: [O, P]",
                                                       "observers: [O, P, P]")),
     "boolean_interference_index": ("run", _scenario(
@@ -425,13 +515,13 @@ def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_lattice_check_too_large_exits_2(capsys, monkeypatch):
-    """A dim-d sweep holds 18 d**2 amplitudes, at most 2**26: 1930 is the
+    """A dim-d sweep holds 20 d**2 amplitudes, at most 2**26: 1831 is the
     largest dim allowed.  The sweep is replaced, so neither dim allocates."""
     monkeypatch.setattr(cli, "_lattice_laws", lambda dim, rng: {"complement": 0})
-    assert cli.LATTICE_ARRAYS == 18
-    assert main(["lattice-check", "1931"]) == 2
+    assert cli.LATTICE_ARRAYS == 20
+    assert main(["lattice-check", "1832"]) == 2
     assert "error: TooLarge" in capsys.readouterr().err
-    assert main(["lattice-check", "1930"]) == 0
+    assert main(["lattice-check", "1831"]) == 0
 
 
 UNREADABLE_PATHS = {

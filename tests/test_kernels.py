@@ -1,5 +1,6 @@
 """Transition kernels: constraints, interference, composition, unistochasticity."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -275,6 +276,20 @@ def test_composing_kernels_whose_product_fails_its_check_raises_a_named_error():
     with pytest.raises(PreconditionViolated,
                        match=r"^scaled <- scaled: kernel is not doubly stochastic: range 1.9e-09"):
         compose(forth, back)
+
+
+def test_kernel_keeps_the_check_its_constructor_made():
+    """``check`` is p's StochasticReport field for field, and is never passed in."""
+    p = np.array([[0.5 + 4e-10, 0.5], [0.5, 0.5 - 3e-10]])
+    rng = np.random.default_rng(5)
+    built = kernel_from_families(CompleteFamily.random(4, rng, "b"),
+                                 CompleteFamily.random(4, rng, "c"))
+    for kernel in (TransitionKernel(p, "b", "c"), built):
+        assert dataclasses.astuple(kernel.check) == dataclasses.astuple(
+            verify_double_stochastic(kernel.p))
+    assert TransitionKernel(p, "b", "c").check.row_sum_violation > 0
+    with pytest.raises(TypeError):
+        TransitionKernel(p, "b", "c", check=built.check)
 
 
 def test_transition_kernel_validation():
