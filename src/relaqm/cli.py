@@ -33,14 +33,8 @@ from .errors import (
     RelaqmError,
     ValidationError,
 )
-from .hilbert import _MAX_AMPLITUDES, ATOL
-from .kernels import (
-    N_STARTS,
-    decide_unistochastic,
-    kernel_from_families,
-    phase_fix,
-    verify_double_stochastic,
-)
+from .hilbert import ATOL, _refuse_too_large
+from .kernels import _search_amplitudes, decide_unistochastic, kernel_from_families, phase_fix
 
 __all__ = ["main"]
 
@@ -55,14 +49,6 @@ LATTICE_TRIALS = 200
 # (seed 0, single-threaded BLAS); a v b and not-a, kept through a trial's first
 # laws, account for 1.0-1.5 of it
 LATTICE_ARRAYS = 20
-# complex values an n x n unistochastic search holds at its peak, measured on
-# Haar |U|^2: the projections hold SEARCH_ARRAYS N_STARTS x n x n arrays (peak
-# resident growth 9.6-9.7 at n = 64 and 96, tracemalloc 8.1-9.1 at n = 8-32);
-# the Gauss-Newton polish holds POLISH_ARRAYS n^2 x n^2 arrays' worth, its real
-# Jacobian, J^T J and the damped copy the solve takes (resident 2.2-2.6 at
-# n = 24-40, tracemalloc 2.0-2.7 at n = 8-32)
-SEARCH_ARRAYS = 10
-POLISH_ARRAYS = 3
 
 
 def _effective_seed(flag: int | None, fallback: int | None = None) -> int | None:
@@ -137,13 +123,9 @@ def _cmd_unistochastic(args) -> int:
         i, j = np.argwhere(~np.isfinite(p))[0]
         raise ParseError(f"{args.matrix}: row {i + 1}, column {j + 1} is {p[i, j]}, not finite")
     dim = len(p)
-    held = max(SEARCH_ARRAYS * N_STARTS * dim * dim, POLISH_ARRAYS * dim ** 4)
-    if held > _MAX_AMPLITUDES:
-        raise ValidationError("TooLarge", f"{args.matrix}: a {dim}x{dim} search holds {held} "
-                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
-    check = verify_double_stochastic(p)
-    sys.stdout.write(f"doubly stochastic check: {check}\n")
+    _refuse_too_large(_search_amplitudes(dim), f"{args.matrix}: a {dim}x{dim} search")
     decision = decide_unistochastic(p, seed=_effective_seed(args.seed, 0))
+    sys.stdout.write(f"doubly stochastic check: {decision.check}\n")
     if decision.open_links is None:
         sys.stdout.write(f"residual: {decision.residual:.6g}\n")
     else:
@@ -203,11 +185,8 @@ def _lattice_laws(dim: int, rng: np.random.Generator):
 def _cmd_lattice_check(args) -> int:
     if args.dim < 2:
         raise ValidationError("InvalidDimension", f"dim must be >= 2, got {args.dim}")
-    held = LATTICE_ARRAYS * args.dim * args.dim
-    if held > _MAX_AMPLITUDES:
-        raise ValidationError("TooLarge", f"a dim-{args.dim} sweep holds {held} amplitudes "
-                                          f"({LATTICE_ARRAYS} dim x dim arrays), more than "
-                                          f"the {_MAX_AMPLITUDES} allowed")
+    _refuse_too_large(LATTICE_ARRAYS * args.dim * args.dim,
+                      f"a dim-{args.dim} sweep of {LATTICE_ARRAYS} dim x dim arrays")
     rng = np.random.default_rng(_effective_seed(args.seed, 0))
     fails = _lattice_laws(args.dim, rng)
     for law, count in fails.items():

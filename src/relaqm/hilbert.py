@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAPartition, ZeroBranch
+from .errors import DimensionMismatch, NotAPartition, ValidationError, ZeroBranch
 
 __all__ = [
     "ATOL",
@@ -56,10 +56,11 @@ ATOL = 1e-9
 OPT_ATOL = 1e-6
 RANK_TOL = 1e-7
 
-# The most amplitudes an input may ask for: all observers' accounts together
-# in a scenario, one family in a kernel request, one question in a lattice
-# sweep.  2**26 complex128 values are 1 GiB; larger inputs are refused before
-# anything is allocated.
+# The most amplitudes an input may ask for, 2**26 complex128 values (1 GiB),
+# read only by _refuse_too_large.  Each rule that calls it passes its own
+# count: `lattice-check` and `unistochastic` their measured peak, while the
+# scenario's accounts and a `kernel` request's family count only the
+# amplitudes the input itself holds, not what a run holds at its peak.
 _MAX_AMPLITUDES = 2**26
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +82,14 @@ def _as_complex_matrix(values) -> np.ndarray:
         raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _refuse_too_large(amplitudes: int, what: str) -> None:
+    """Refuse, before anything is allocated, ``what`` holding more than
+    _MAX_AMPLITUDES amplitudes (a ``TooLarge`` :class:`ValidationError`)."""
+    if amplitudes > _MAX_AMPLITUDES:
+        raise ValidationError("TooLarge", f"{what} would hold {amplitudes} amplitudes, "
+                                          f"more than the {_MAX_AMPLITUDES} allowed")
 
 
 def orthonormality_defect(columns: np.ndarray) -> float:

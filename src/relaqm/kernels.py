@@ -257,6 +257,19 @@ STALL_RESIDUAL = 1e-2
 # a smaller one would let a unistochastic matrix look stalled
 N_STARTS = 64
 MAX_ITERS = 500
+# complex values an n x n unistochastic search holds at its peak, measured on
+# Haar |U|^2: the projections hold SEARCH_ARRAYS N_STARTS x n x n arrays (peak
+# resident growth 9.6-9.7 at n = 64 and 96, tracemalloc 8.1-9.1 at n = 8-32);
+# the Gauss-Newton polish holds POLISH_ARRAYS n^2 x n^2 arrays' worth, its real
+# Jacobian, J^T J and the damped copy the solve takes (resident 2.2-2.6 at
+# n = 24-40, tracemalloc 2.0-2.7 at n = 8-32)
+SEARCH_ARRAYS = 10
+POLISH_ARRAYS = 3
+
+
+def _search_amplitudes(dim: int) -> int:
+    """What a dim x dim search holds at its peak, in complex values."""
+    return max(SEARCH_ARRAYS * N_STARTS * dim * dim, POLISH_ARRAYS * dim ** 4)
 
 
 @dataclass(frozen=True)
@@ -369,6 +382,16 @@ def _gauss_newton_polish(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, floa
     return u, f
 
 
+def _polish_start(best_u: np.ndarray, best_res: np.ndarray, b: int, p: np.ndarray) -> float:
+    """Polish start b's best unitary, keep the result if its residual is lower,
+    and return start b's best residual."""
+    u, f = _gauss_newton_polish(best_u[b], p)
+    if f < best_res[b]:
+        best_u[b] = u
+        best_res[b] = f
+    return best_res[b]
+
+
 def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
     """Search for a unitary with |U|^2 = p by multi-start projections.
 
@@ -411,11 +434,8 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
         best_u[mask] = u[mask]
         b = int(np.argmin(best_res))
         if stop <= best_res[b] < bar:
-            u_polished, f = _gauss_newton_polish(best_u[b], p)
-            if f < best_res[b]:
-                best_u[b] = u_polished
-                best_res[b] = f
-            while bar > best_res[b]:
+            polished = _polish_start(best_u, best_res, b, p)
+            while bar > polished:
                 bar /= 10
         if best_res[b] < stop:
             break
@@ -424,13 +444,7 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
 
     if best_res.min() >= stop:
         for b in np.argsort(best_res, kind="stable")[:3]:
-            if best_res[b] >= STALL_RESIDUAL:
-                continue
-            u_polished, f = _gauss_newton_polish(best_u[b], p)
-            if f < best_res[b]:
-                best_u[b] = u_polished
-                best_res[b] = f
-            if best_res[b] < stop:
+            if best_res[b] < STALL_RESIDUAL and _polish_start(best_u, best_res, b, p) < stop:
                 break
 
     b = int(np.argmin(best_res))
@@ -438,10 +452,13 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
                                start_residuals=best_res, iterations=iterations)
 
 
-def _check_double_stochastic(p: np.ndarray) -> None:
+def _check_double_stochastic(p: np.ndarray) -> StochasticReport:
+    """p's report, if p is doubly stochastic within OPT_ATOL; else
+    :class:`NotDoublyStochastic`."""
     report = verify_double_stochastic(p)
     if not report.ok(OPT_ATOL):
         raise NotDoublyStochastic(f"input violates double stochasticity: {report}")
+    return report
 
 
 def _open_chain_link(p: np.ndarray) -> tuple[str, int, int, float] | None:
@@ -539,12 +556,14 @@ class UnistochasticDecision:
     ``U`` and ``residual`` (||U|^2 - p| in the Frobenius norm) belong to the
     unitary decided on.  A rejection certified by the chain links has
     neither; its ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap).
+    ``check`` is the :class:`StochasticReport` the decision verified p with.
     """
 
     verdict: str
     U: np.ndarray | None = None
     residual: float | None = None
     open_links: tuple[str, int, int, float] | None = None
+    check: StochasticReport = field(kw_only=True)
 
 
 def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
@@ -560,14 +579,15 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     4. Otherwise :func:`unistochastic_search` decides, with ``seed``.
     """
     p = np.asarray(p, dtype=float)
-    _check_double_stochastic(p)
+    check = _check_double_stochastic(p)
     open_links = _open_chain_link(p) if len(p) > 2 else None
     if open_links is not None:
-        return UnistochasticDecision("non-unistochastic", open_links=open_links)
+        return UnistochasticDecision("non-unistochastic", open_links=open_links, check=check)
     if len(p) <= 3:
         u = _closed_form_unitary(p)
         residual = float(np.linalg.norm(np.abs(u) ** 2 - p))
         if residual < OPT_ATOL and orthonormality_defect(u) <= ATOL:
-            return UnistochasticDecision("unistochastic", U=u, residual=residual)
+            return UnistochasticDecision("unistochastic", U=u, residual=residual, check=check)
     result = unistochastic_search(p, seed)
-    return UnistochasticDecision(result.verdict, U=result.U, residual=result.residual)
+    return UnistochasticDecision(result.verdict, U=result.U, residual=result.residual,
+                                 check=check)

@@ -188,6 +188,13 @@ def premeasurement_unitary(setup: MeasurementSetup) -> Operator:
                            setup.pointer_ready.amplitudes.tobytes())
 
 
+# The largest d_s·d_o a scenario may measure on.  A premeasurement is a dense
+# (d_s·d_o)^2 unitary with an O((d_s·d_o)^3) completion: at 1024, 16 MiB and
+# 10-13 s on a 2-core Xeon.  The memo below keeps the two most recently used,
+# so a process holds at most 32 MiB of them, whatever the number of setups.
+_MAX_PREMEASUREMENT_DIM = 1024
+
+
 @functools.lru_cache(maxsize=2)
 def _premeasurement(basis_bytes: bytes, ready_bytes: bytes) -> Operator:
     """:func:`premeasurement_unitary` of the complex family basis (C order)

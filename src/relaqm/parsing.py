@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .hilbert import _MAX_AMPLITUDES, ATOL, orthonormality_defect
+from .hilbert import _refuse_too_large
 from .questions import CompleteFamily
 
 __all__ = ["read_text", "parse_yaml", "parse_families", "resolve_family"]
@@ -214,33 +214,36 @@ def _name(raw, where: str):
     return raw
 
 
-def parse_families(raw) -> dict[str, np.ndarray]:
-    """Declared families: names mapped to unitary matrices (columns = basis vectors).
-    An absent (``None``) field declares none; any other value must be a mapping."""
+def parse_families(raw) -> dict[str, CompleteFamily]:
+    """Declared families: names mapped to :class:`CompleteFamily` values, whose
+    matrix columns are the basis vectors; each is built, and so checked for
+    unitarity, once.  An absent (``None``) field declares none; any other
+    value must be a mapping."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ParseError("families must be a mapping from names to matrices")
-    families: dict[str, np.ndarray] = {}
+    families: dict[str, CompleteFamily] = {}
     for fname, rows in raw.items():
         basis = _square_matrix(rows, f"families.{fname}")
-        if orthonormality_defect(basis) > ATOL:
+        try:
+            families[fname] = CompleteFamily(basis, fname)
+        except ValueError as exc:  # a square basis fails only the unitarity check
             raise ValidationError("FamilyNotUnitary",
-                                  f"family {fname!r} basis is not unitary")
+                                  f"family {fname!r} basis is not unitary") from exc
         _name(fname, "families")
-        families[fname] = basis
     return families
 
 
-def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> CompleteFamily:
+def resolve_family(name: str, dim: int, declared: dict[str, CompleteFamily]) -> CompleteFamily:
     """Look up a family by name: scenario-declared first, then builtins."""
     if name in declared:
-        basis = declared[name]
-        if basis.shape[0] != dim:
+        family = declared[name]
+        if family.dim != dim:
             raise ValidationError(
                 "FamilyDimension",
-                f"family {name!r} has dim {basis.shape[0]}, target has dim {dim}")
-        return CompleteFamily(basis, name)
+                f"family {name!r} has dim {family.dim}, target has dim {dim}")
+        return family
     if name == "computational":
         return CompleteFamily.computational(dim)
     if name == "hadamard":
@@ -253,7 +256,7 @@ def resolve_family(name: str, dim: int, declared: dict[str, np.ndarray]) -> Comp
     raise ValidationError("UnknownFamily", f"no family named {name!r}")
 
 
-def _family_reader(declared: dict[str, np.ndarray]):
+def _family_reader(declared: dict[str, CompleteFamily]):
     """:func:`resolve_family` over one document's ``declared`` families, each
     (name, dim) resolved once: the events that name it share one family.  The
     memo lives only as long as the reader, so no document sees another's."""
@@ -277,9 +280,7 @@ def _parse_kernel_request(text: str) -> list[tuple[CompleteFamily, CompleteFamil
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"kernel file: dim must be a positive integer, got {dim!r}")
-    if dim * dim > _MAX_AMPLITUDES:
-        raise ValidationError("TooLarge", f"kernel file: a dim-{dim} family holds {dim * dim} "
-                                          f"amplitudes, more than the {_MAX_AMPLITUDES} allowed")
+    _refuse_too_large(dim * dim, f"kernel file: a dim-{dim} family")
     family = _family_reader(parse_families(doc.get("families")))
     pairs = _optional(doc, "pairs", [["computational", "fourier"]])
     if not isinstance(pairs, list) or not all(

@@ -40,16 +40,16 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import propagator
-from .hilbert import (_MAX_AMPLITUDES, ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator,
-                      StateVector, _apply_on_factors, sample_index)
+from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
+                      _apply_on_factors, _refuse_too_large, sample_index)
 from .kernels import (
     TransitionKernel,
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
 )
-from .measurement import (MeasurementSetup, _born_weights, _collapse, _completion,
-                          premeasurement_unitary)
+from .measurement import (_MAX_PREMEASUREMENT_DIM, MeasurementSetup, _born_weights,
+                          _collapse, _completion, premeasurement_unitary)
 from .parsing import (_FLOATS_ONLY, _LISTS_ONLY, _complex_vector, _family_reader, _name,
                       _optional, _real_value, _square_matrix, parse_families, parse_yaml,
                       read_text, resolve_family)
@@ -72,12 +72,6 @@ __all__ = [
     "parse_families",
     "resolve_family",
 ]
-
-# A measure event builds its premeasurement as a dense (d_s·d_o)^2 unitary
-# with an O((d_s·d_o)^3) completion: at 1024, 16 MiB and 10-13 s on a 2-core Xeon.
-# measurement.premeasurement_unitary keeps the two most recently used, so a
-# process holds at most 32 MiB of them, whatever the number of setups.
-_MAX_PREMEASUREMENT_DIM = 1024
 
 _BUILTIN_HAMILTONIANS = {
     "pauli_x": PAULI_X,
@@ -349,12 +343,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError("DuplicateObserver", f"observer {obs!r} listed twice")
     observers = tuple(raw_observers)
     total = math.prod(dims.values())
-    amplitudes = sum(total // dims[obs] for obs in observers)
-    if amplitudes > _MAX_AMPLITUDES:
-        raise ValidationError(
-            "TooLarge",
-            f"the observers' accounts would hold {amplitudes} amplitudes, more than "
-            f"the {_MAX_AMPLITUDES} allowed")
+    _refuse_too_large(sum(total // dims[obs] for obs in observers), "the observers' accounts")
 
     families = _family_reader(parse_families(doc.get("families")))
 

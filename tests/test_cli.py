@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
-from relaqm import cli, kernels, questions, scenario
+from relaqm import cli, hilbert, kernels, parsing, questions, scenario
 from relaqm.cli import main
 from relaqm.hilbert import haar_unitary
-from relaqm.kernels import UnistochasticDecision, unistochastic_search
+from relaqm.kernels import unistochastic_search
 from relaqm.scenario import emit_report, fixture_path
 
 WIGNER = str(fixture_path("wigner_friend.yaml"))
@@ -126,7 +126,7 @@ def test_unistochastic_invalid_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.9 0.2\n0.1 0.8\n")
     assert main(["unistochastic", str(bad)]) == 2
-    assert capsys.readouterr().err == ("error: input violates double stochasticity: "
+    assert capsys.readouterr() == ("", "error: input violates double stochasticity: "
                                        "range 0, rows 0.1, columns 0\n")
 
 
@@ -148,26 +148,17 @@ def test_unistochastic_refuses_a_non_square_or_non_finite_matrix(tmp_path, capsy
 
 
 def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
-    """An n x n decision holds max(10 N_STARTS n**2, 3 n**4) amplitudes.  With
-    the limit lowered to 300000, 17 x 17 is allowed and 18 x 18 refused by the
-    polish term alone (314928, against 207360 for the projections), before
-    the decision runs; the decision is replaced, so neither size searches."""
-    assert (cli.SEARCH_ARRAYS, cli.POLISH_ARRAYS, cli.N_STARTS) == (10, 3, 64)
-    monkeypatch.setattr(cli, "_MAX_AMPLITUDES", 300_000)
+    """A 69 x 69 matrix is refused before the decision runs: one error line
+    naming its size, and nothing on stdout.  The boundary itself is checked in
+    tests/test_input_rules.py."""
     decided = []
-
-    def decide(p, seed):
-        decided.append(len(p))
-        return UnistochasticDecision("inconclusive", residual=1.0)
-
-    monkeypatch.setattr(cli, "decide_unistochastic", decide)
-    for n, code in ((18, 2), (17, 3)):
-        uniform = tmp_path / f"uniform{n}.txt"
-        uniform.write_text((" ".join([repr(1 / n)] * n) + "\n") * n)
-        assert main(["unistochastic", str(uniform)]) == code
-    assert decided == [17]
-    err = capsys.readouterr().err
-    assert err.startswith("error: TooLarge:") and "18x18" in err
+    monkeypatch.setattr(cli, "decide_unistochastic", lambda p, seed: decided.append(p))
+    uniform = tmp_path / "uniform.txt"
+    uniform.write_text((" ".join([repr(1 / 69)] * 69) + "\n") * 69)
+    assert main(["unistochastic", str(uniform)]) == 2
+    assert decided == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: TooLarge:") and "69x69" in err
 
 
 def test_kernel_tables(capsys):
@@ -304,20 +295,19 @@ def _scenario(dim_s=2, prep_s="[[1.0, 0.0], [0.0, 0.0]]", extra="", events="[]")
             f"events: {events}\n")
 
 
-def _counting_checks(monkeypatch) -> list:
-    """Record the shape of every matrix checked for double stochasticity, in
-    each relaqm module that binds verify_double_stochastic."""
+def _counting_checks(monkeypatch, original=kernels.verify_double_stochastic) -> list:
+    """Record the shape of every matrix that ``original`` checks, by default
+    for double stochasticity, in each relaqm module that binds it."""
     checked = []
-    original = kernels.verify_double_stochastic
 
-    def counted(p):
-        checked.append(np.shape(p))
-        return original(p)
+    def counted(matrix):
+        checked.append(np.shape(matrix))
+        return original(matrix)
 
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("relaqm")
-                and getattr(module, "verify_double_stochastic", None) is original):
-            monkeypatch.setattr(module, "verify_double_stochastic", counted)
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, counted)
     return checked
 
 
@@ -341,6 +331,42 @@ def test_each_kernel_is_checked_once(tmp_path, capsys, monkeypatch, command, tex
     doc.write_text(text)
     checked = _counting_checks(monkeypatch)
     assert main([command, str(doc)]) == 0
+    assert checked == [(2, 2)] * checks
+
+
+@pytest.mark.parametrize("matrix, checks", [(SYMMETRIC, 1), (OFFDIAG, 1), ("haar4", 2)],
+                         ids=["closed_form", "chain_links", "search"])
+def test_each_unistochastic_matrix_is_checked_once_per_layer(tmp_path, capsys, monkeypatch,
+                                                             matrix, checks):
+    """`relaqm unistochastic` prints the check its decision made: a matrix
+    that the chain links or the closed form decide is checked once, and one
+    that the search decides twice, as the search checks its own input."""
+    if matrix == "haar4":
+        matrix = tmp_path / "haar4.txt"
+        np.savetxt(matrix, np.abs(haar_unitary(4, np.random.default_rng(0))) ** 2, fmt="%.17g")
+    checked = _counting_checks(monkeypatch)
+    main(["unistochastic", str(matrix)])
+    assert capsys.readouterr().out.startswith("doubly stochastic check: range ")
+    assert len(checked) == checks
+
+
+_TILTED = "families: {tilted: [[0.6, 0.8], [0.8, -0.6]]}\n"
+
+
+@pytest.mark.parametrize("parse, text, checks", [
+    (scenario.parse_scenario, _scenario(
+        extra=_TILTED, events="[{measure: {observer: O, target: S, family: tilted}}, "
+                              "{query: {kind: marginal, target: S, family: tilted, "
+                              "relative_to: P}}, {query: {kind: kernel, target: S, "
+                              "family_a: tilted, family_b: tilted}}]"), 1),
+    (parsing._parse_kernel_request, "dim: 2\n" + _TILTED
+     + "pairs: [[tilted, tilted], [tilted, computational]]\n", 2),
+], ids=["run_one_declared_family", "kernel_declared_and_builtin"])
+def test_each_family_is_checked_for_unitarity_once(monkeypatch, parse, text, checks):
+    """A declared family is checked once, as it is declared, however many
+    events or pairs name it; a builtin one once, as it is resolved."""
+    checked = _counting_checks(monkeypatch, hilbert.orthonormality_defect)
+    parse(text)
     assert checked == [(2, 2)] * checks
 
 
@@ -515,13 +541,15 @@ def test_too_large_scenario_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_lattice_check_too_large_exits_2(capsys, monkeypatch):
-    """A dim-d sweep holds 20 d**2 amplitudes, at most 2**26: 1831 is the
-    largest dim allowed.  The sweep is replaced, so neither dim allocates."""
-    monkeypatch.setattr(cli, "_lattice_laws", lambda dim, rng: {"complement": 0})
-    assert cli.LATTICE_ARRAYS == 20
+    """A dim-1832 sweep is refused before it runs, with an error line; the
+    boundary itself is checked in tests/test_input_rules.py."""
+    swept = []
+    monkeypatch.setattr(cli, "_lattice_laws", lambda dim, rng: swept.append(dim))
     assert main(["lattice-check", "1832"]) == 2
-    assert "error: TooLarge" in capsys.readouterr().err
-    assert main(["lattice-check", "1831"]) == 0
+    assert swept == []
+    assert capsys.readouterr() == ("", "error: TooLarge: a dim-1832 sweep of 20 dim x dim "
+                                       "arrays would hold 67124480 amplitudes, more than "
+                                       "the 67108864 allowed\n")
 
 
 UNREADABLE_PATHS = {

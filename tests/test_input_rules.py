@@ -6,12 +6,17 @@ The table below covers every rule name raised in the parsing sources, and
 README's table of parse-time rules names each of them.
 """
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
+from relaqm import cli, parsing
 from relaqm.cli import main
+from relaqm.errors import ValidationError
+from relaqm.kernels import UnistochasticDecision, verify_double_stochastic
+from relaqm.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PARSER_SOURCES = [ROOT / "src" / "relaqm" / name for name in ("scenario.py", "parsing.py")]
@@ -190,3 +195,67 @@ def test_readme_names_every_rule_the_parser_raises():
     start = readme.index("Rules enforced at parse time")
     table = readme[start:readme.index("At run time", start)]
     assert not [rule for rule in sorted(_parser_rules()) if f"`{rule}`" not in table]
+
+
+def many_qubits(n: int, observers: int) -> str:
+    """A valid document of n qubits in |0>, the first ``observers`` of them observers."""
+    names = [f"Q{i}" for i in range(n)]
+    return ("systems: [" + ", ".join(f"{{name: {q}, dim: 2}}" for q in names) + "]\n"
+            f"observers: [{', '.join(names[:observers])}]\n"
+            "preparations: {" + ", ".join(f"{q}: [1.0, 0.0]" for q in names) + "}\n")
+
+
+def _accounts(observers: int):
+    """The accounts of n qubits, only parsed: a run would allocate them."""
+    return lambda n, tmp_path, monkeypatch: parse_scenario(many_qubits(n, observers))
+
+
+def _premeasurement(pointer_dim, tmp_path, monkeypatch):
+    """O, of dimension ``pointer_dim``, measures the qubit S; only parsed: a
+    run would build the (d_s·d_o)^2 unitary."""
+    parse_scenario(scenario(systems=f"[{{name: S, dim: 2}}, {{name: O, dim: {pointer_dim}}}]",
+                            preparations="{S: [1.0, 0.0], O: [1.0"
+                                         + ", 0.0" * (pointer_dim - 1) + "]}",
+                            events=measure()))
+
+
+def _kernel_dim(dim, tmp_path, monkeypatch):
+    """A `kernel` request of the default pair, its families not built."""
+    monkeypatch.setattr(parsing, "resolve_family", lambda name, dim, declared: name)
+    parsing._parse_kernel_request(f"dim: {dim}\n")
+
+
+def _unistochastic(n, tmp_path, monkeypatch):
+    """The uniform n x n matrix, the decision replaced so that it does not search."""
+    monkeypatch.setattr(cli, "decide_unistochastic", lambda p, seed: UnistochasticDecision(
+        "inconclusive", residual=1.0, check=verify_double_stochastic(p)))
+    matrix = tmp_path / "uniform.txt"
+    matrix.write_text((" ".join([repr(1 / n)] * n) + "\n") * n)
+    cli._cmd_unistochastic(argparse.Namespace(matrix=str(matrix), seed=None))
+
+
+def _lattice_check(dim, tmp_path, monkeypatch):
+    """A `lattice-check` of ``dim``, the sweep replaced so that it allocates nothing."""
+    monkeypatch.setattr(cli, "_lattice_laws", lambda dim, rng: {"complement": 0})
+    cli._cmd_lattice_check(argparse.Namespace(dim=dim, seed=None))
+
+
+# id: (the rule, applied where it is enforced to an input of a given size;
+# the largest size it accepts)
+SIZE_LIMITS = {
+    "accounts_one_observer": (_accounts(1), 27),  # 2**26 amplitudes, the limit itself
+    "accounts_two_observers": (_accounts(2), 26),  # 2 * 2**25
+    "premeasurement": (_premeasurement, 512),  # d_s·d_o = 1024
+    "kernel_dim": (_kernel_dim, 8192),  # 8192**2 = 2**26
+    "unistochastic": (_unistochastic, 68),  # 3 * 68**4 < 2**26 < 3 * 69**4, the polish
+    "lattice_check": (_lattice_check, 1831),  # 20 * 1831**2 < 2**26 < 20 * 1832**2
+}
+
+
+@pytest.mark.parametrize("rule, largest", SIZE_LIMITS.values(), ids=SIZE_LIMITS.keys())
+def test_each_size_limit_accepts_its_largest_input_and_refuses_the_next(
+        tmp_path, monkeypatch, capsys, rule, largest):
+    """Every `TooLarge` boundary, checked through the code that owns it."""
+    rule(largest, tmp_path, monkeypatch)
+    with pytest.raises(ValidationError, match="^TooLarge: "):
+        rule(largest + 1, tmp_path, monkeypatch)
