@@ -51,7 +51,8 @@ __all__ = [
 
 # Structural checks (norms, unitarity, orthogonality) use ATOL; optimizer
 # outputs are accepted at the looser OPT_ATOL; subspace ranks come from
-# singular values thresholded at RANK_TOL.
+# singular values thresholded at RANK_TOL.  A check that must pass is
+# written ``not x <= tol``, so that a NaN fails it (``nan > tol`` is False).
 ATOL = 1e-9
 OPT_ATOL = 1e-6
 RANK_TOL = 1e-7
@@ -122,7 +123,7 @@ class StateVector:
             raise ValueError(
                 f"dim_factors {self.dim_factors} do not multiply to {self.amplitudes.size}"
             )
-        if require_normalized and abs(self.norm - 1.0) > ATOL:
+        if require_normalized and not abs(self.norm - 1.0) <= ATOL:
             raise ValueError(f"state norm {self.norm!r} differs from 1 by more than {ATOL}")
 
     @property
@@ -202,7 +203,7 @@ def apply(op: Operator, s: StateVector) -> StateVector:
     out = op.matrix @ s.amplitudes
     if op.is_unitary:
         norm = float(np.linalg.norm(out))
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"unitary application drifted norm to {norm!r}")
         out = out / norm
         return StateVector(out, s.dim_factors, s.relative_to)
@@ -231,11 +232,11 @@ def _check_partition(partition: list[Operator] | tuple[Operator, ...], dim: int)
         if not p.is_projector:
             raise NotAPartition(f"element {i} is not a projector")
         total += p.matrix
-    if np.max(np.abs(total - np.eye(dim))) > ATOL:
+    if not np.max(np.abs(total - np.eye(dim))) <= ATOL:
         raise NotAPartition("projectors do not sum to the identity")
     for i in range(len(partition)):
         for j in range(i + 1, len(partition)):
-            if np.max(np.abs(partition[i].matrix @ partition[j].matrix)) > ATOL:
+            if not np.max(np.abs(partition[i].matrix @ partition[j].matrix)) <= ATOL:
                 raise NotAPartition(f"projectors {i} and {j} are not orthogonal")
 
 
@@ -262,7 +263,7 @@ def sample_outcome(probs, rng_seed: int) -> int:
     same seed and draw order.
     """
     probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > ATOL:
+    if not abs(probs.sum() - 1.0) <= ATOL:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
     return sample_index(probs, np.random.default_rng(rng_seed))
 

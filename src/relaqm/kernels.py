@@ -85,9 +85,9 @@ class TransitionKernel:
         object.__setattr__(self, "check", check)
         if self.U is not None:
             u = np.array(self.U, dtype=complex)
-            if orthonormality_defect(u) > ATOL:
+            if not orthonormality_defect(u) <= ATOL:
                 raise ValueError("kernel unitary is not unitary")
-            if np.max(np.abs(np.abs(u) ** 2 - p)) > ATOL:
+            if not np.max(np.abs(np.abs(u) ** 2 - p)) <= ATOL:
                 raise ValueError("kernel unitary does not reproduce p = |U|^2")
             u.setflags(write=False)
             object.__setattr__(self, "U", u)

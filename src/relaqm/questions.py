@@ -8,7 +8,17 @@ distributive; a complete family (an orthonormal basis read as mutually
 exclusive rank-1 questions) generates a Boolean subalgebra.
 
 Question equality throughout means subspace equality (mutual implication),
-never equality of basis matrices.
+never equality of basis matrices; for subspaces of equal rank one inclusion
+decides it, since ||(I - P2) Q1||_F = ||(I - P1) Q2||_F.
+
+The lattice bounds are answered by identity, with no SVD or product:
+a v 0 = a, a v 1 = 1, a ^ 0 = 0, a ^ 1 = a, not 0 = 1, not 1 = 0, 0 => a and
+a => 1; a question implies none of smaller rank.
+
+A basis this module computes is not re-checked: SVD and QR columns are
+orthonormal to rounding, so are the columns of a verified family, and the
+meet's basis, q1's basis times SVD columns, is as orthonormal as q1's.  A
+basis a caller passes to ``Question`` is checked.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ class Question:
         b = np.array(self.basis, dtype=complex)
         if b.ndim != 2:
             raise ValueError(f"basis must be a (dim, rank) matrix, got shape {b.shape}")
-        if orthonormality_defect(b) > ATOL:
+        if not orthonormality_defect(b) <= ATOL:
             raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -92,18 +102,18 @@ class Question:
 
     @classmethod
     def never(cls, dim: int) -> "Question":
-        return cls(np.zeros((dim, 0), dtype=complex))
+        return _computed(np.zeros((dim, 0), dtype=complex))
 
     @classmethod
     def always(cls, dim: int) -> "Question":
-        return cls(np.eye(dim, dtype=complex))
+        return _computed(np.eye(dim, dtype=complex))
 
     @classmethod
     def ray(cls, vector) -> "Question":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
-        if n < RANK_TOL:
-            raise ValueError("cannot build a ray question from a zero vector")
+        if not RANK_TOL <= n < np.inf:
+            raise ValueError(f"cannot build a ray question from a vector of norm {n}")
         return cls((v / n)[:, None])
 
     @classmethod
@@ -112,10 +122,23 @@ class Question:
         arr = np.asarray(vectors, dtype=complex)
         if arr.ndim == 1:
             arr = arr[:, None]
+        if not np.isfinite(arr).all():  # their SVD would fail or read rank 0
+            raise ValueError("cannot span a question with a non-finite vector")
         return cls(_orthonormalize(arr, dim or arr.shape[0]))
 
     def __repr__(self):
         return f"Question(rank={self.rank}, ambient_dim={self.ambient_dim})"
+
+
+def _computed(basis: np.ndarray) -> Question:
+    """A Question on a basis this module computed, orthonormal by construction:
+    built without ``orthonormality_defect``.  The basis is copied, so a column
+    slice does not keep its whole parent array alive."""
+    b = np.array(basis, dtype=complex)
+    b.setflags(write=False)
+    q = object.__new__(Question)
+    object.__setattr__(q, "basis", b)
+    return q
 
 
 def _require_same_dim(q1: Question, q2: Question) -> None:
@@ -125,10 +148,14 @@ def _require_same_dim(q1: Question, q2: Question) -> None:
 
 
 def implies(q1: Question, q2: Question) -> bool:
-    """Subspace inclusion: every vector of q1 lies in q2."""
+    """Subspace inclusion: every vector of q1 lies in q2.
+
+    A larger q1 never does: its residual ||(I - P2) Q1||_F is then at least 1."""
     _require_same_dim(q1, q2)
-    if q1.rank == 0:
+    if q1.is_never or q2.is_always:
         return True
+    if q1.rank > q2.rank:
+        return False
     residual = q1.basis - q2.basis @ (q2.basis.conj().T @ q1.basis)
     return bool(np.linalg.norm(residual) < ATOL)
 
@@ -137,16 +164,22 @@ def negate(q: Question) -> Question:
     """Orthogonal complement: the left singular vectors of q's basis past its
     rank.  Orthonormal within ATOL, the basis has every singular value within
     rank * ATOL of 1, far above RANK_TOL, so none of the first rank is dropped."""
-    if q.rank == 0:
+    if q.is_never:
         return Question.always(q.ambient_dim)
+    if q.is_always:
+        return Question.never(q.ambient_dim)
     u, _, _ = np.linalg.svd(q.basis, full_matrices=True)
-    return Question(u[:, q.rank:])
+    return _computed(u[:, q.rank:])
 
 
 def join(q1: Question, q2: Question) -> Question:
     """Closed span of the union."""
     _require_same_dim(q1, q2)
-    return Question(_orthonormalize(np.hstack([q1.basis, q2.basis]), q1.ambient_dim))
+    if q1.is_always or q2.is_never:
+        return q1
+    if q2.is_always or q1.is_never:
+        return q2
+    return _computed(_orthonormalize(np.hstack([q1.basis, q2.basis]), q1.ambient_dim))
 
 
 def meet(q1: Question, q2: Question) -> Question:
@@ -159,11 +192,13 @@ def meet(q1: Question, q2: Question) -> Question:
     One SVD, where the double complement ¬(¬q1 ∨ ¬q2) takes four.
     """
     _require_same_dim(q1, q2)
-    if q1.rank == 0 or q2.rank == 0:
-        return Question.never(q1.ambient_dim)
+    if q1.is_never or q2.is_always:
+        return q1
+    if q2.is_never or q1.is_always:
+        return q2
     outside = q1.basis - q2.basis @ (q2.basis.conj().T @ q1.basis)
     _, s, vh = np.linalg.svd(outside)
-    return Question(q1.basis @ vh.conj().T[:, s <= RANK_TOL])
+    return _computed(q1.basis @ vh.conj().T[:, s <= RANK_TOL])
 
 
 def orthogonal(q1: Question, q2: Question) -> bool:
@@ -172,8 +207,9 @@ def orthogonal(q1: Question, q2: Question) -> bool:
 
 
 def same_question(q1: Question, q2: Question) -> bool:
-    """Subspace equality via mutual implication."""
-    return q1.rank == q2.rank and implies(q1, q2) and implies(q2, q1)
+    """Subspace equality: equal ranks and one inclusion, which for equal ranks
+    implies the other."""
+    return q1.rank == q2.rank and implies(q1, q2)
 
 
 def orthomodular_check(q1: Question, q2: Question) -> bool:
@@ -207,7 +243,7 @@ class CompleteFamily:
         b = np.array(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"family basis must be square, got shape {b.shape}")
-        if orthonormality_defect(b) > ATOL:
+        if not orthonormality_defect(b) <= ATOL:
             raise ValueError(f"family {self.label!r}: basis is not unitary")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -220,7 +256,7 @@ class CompleteFamily:
         return self.basis[:, i]
 
     def atom(self, i: int) -> Question:
-        return Question(self.basis[:, i:i + 1])
+        return _computed(self.basis[:, i:i + 1])
 
     def answer_pattern(self, i: int) -> "AnswerString":
         """Binary encoding of atom index i as an N-bit answer string.
@@ -288,7 +324,7 @@ def boolean_algebra(f: CompleteFamily) -> list[Question]:
     out = []
     for mask in range(1 << k):
         cols = [i for i in range(k) if mask & (1 << i)]
-        out.append(Question(f.basis[:, cols]))
+        out.append(_computed(f.basis[:, cols]))
     return out
 
 
@@ -351,4 +387,4 @@ def random_question(dim: int, rank: int, rng: np.random.Generator) -> Question:
         raise ValueError(f"rank {rank} outside [0, {dim}]")
     if rank == 0:
         return Question.never(dim)
-    return Question(haar_unitary(dim, rng)[:, :rank])
+    return _computed(haar_unitary(dim, rng)[:, :rank])

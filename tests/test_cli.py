@@ -228,7 +228,9 @@ def test_lattice_check_bad_dim(capsys):
 
 def test_lattice_sweep_builds_each_operand_once(monkeypatch):
     """Per trial: 8 joins and 5 negations, as join(a, b) and negate(a) are built once
-    and shared by the laws; 5 meets, 8 subspace comparisons and 18 inclusions.
+    and shared by the laws; 5 meets, 8 subspace comparisons and 9 inclusions: one
+    per comparison, as equal ranks and one inclusion decide it, and one for
+    orthomodular_check's precondition, which the sweep does not check again.
     The calls orthomodular_check and same_question make are counted too."""
     calls = dict.fromkeys(("join", "negate", "meet", "same_question", "implies"), 0)
     for name in calls:
@@ -239,7 +241,15 @@ def test_lattice_sweep_builds_each_operand_once(monkeypatch):
         monkeypatch.setattr(questions, name, counted)
     assert set(cli._lattice_laws(3, np.random.default_rng(0)).values()) == {0}
     assert {name: count / cli.LATTICE_TRIALS for name, count in calls.items()} == {
-        "join": 8, "negate": 5, "meet": 5, "same_question": 8, "implies": 18}
+        "join": 8, "negate": 5, "meet": 5, "same_question": 8, "implies": 9}
+
+
+def test_lattice_sweep_checks_no_basis_it_computes(monkeypatch):
+    """Every question of a sweep is drawn or computed by the library, which
+    does not check the orthonormality of the bases it computes."""
+    checked = _counting_checks(monkeypatch, hilbert.orthonormality_defect)
+    assert set(cli._lattice_laws(3, np.random.default_rng(0)).values()) == {0}
+    assert checked == []
 
 
 # rng.random() after a dim-d sweep from default_rng(0): a sweep that draws

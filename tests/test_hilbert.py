@@ -52,6 +52,11 @@ def test_state_vector_validates_norm_and_factors():
     assert s.dim == 2
 
 
+def test_state_vector_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="norm"):
+        StateVector([np.nan, 0.0], (2,), "O")
+
+
 def test_state_vector_is_immutable():
     s = basis_state(2, 0, "O")
     with pytest.raises(ValueError):
@@ -201,6 +206,11 @@ def test_sample_outcome_deterministic_and_convergent():
 def test_sample_outcome_validates_sum():
     with pytest.raises(ValueError, match="sum"):
         sample_outcome([0.5, 0.4], 0)
+
+
+def test_sample_outcome_refuses_a_nan_probability():
+    with pytest.raises(ValueError, match="sum"):
+        sample_outcome([np.nan, 1.0], 0)
 
 
 def test_conditional_state_examples():

@@ -300,6 +300,11 @@ def test_transition_kernel_validation():
                          U=np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+def test_transition_kernel_refuses_a_nan_unitary_entry():
+    with pytest.raises(ValueError, match="not unitary"):
+        TransitionKernel(np.eye(2), "a", "b", U=[[np.nan, 0], [0, 1]])
+
+
 def test_unistochastic_search_symmetric_2x2():
     t = 0.36
     result = unistochastic_search([[t, 1 - t], [1 - t, t]], seed=0)

@@ -45,6 +45,22 @@ def test_question_validates_orthonormality():
     assert Question.always(3).rank == 3
 
 
+def test_question_refuses_a_nan_basis():
+    with pytest.raises(ValueError, match="orthonormal"):
+        Question(np.array([[np.nan], [0.0]]))
+    for amps in ([np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="ray question"):
+            Question.ray(amps)
+    for amps in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            Question.from_span(np.array(amps))
+
+
+def test_complete_family_refuses_a_nan_entry():
+    with pytest.raises(ValueError, match="not unitary"):
+        CompleteFamily(np.array([[np.nan, 0.0], [0.0, 1.0]]), "nan")
+
+
 def test_implies_basics():
     q0 = Question.never(2)
     assert implies(q0, ray(1, 0))
@@ -147,6 +163,56 @@ def test_meet_of_nearly_equal_planes(angle, shared):
     got = meet(q1, q2)
     assert got.rank == (2 if shared else 1)
     assert same_question(got, meet_by_double_complement(q1, q2))
+
+
+def _projector(q: Question) -> np.ndarray:
+    return q.basis @ q.basis.conj().T
+
+
+def _eigenspace_projector(h: np.ndarray, zero: bool) -> np.ndarray:
+    """Projector onto the eigenvectors of the PSD matrix h whose eigenvalue is
+    zero (``zero``) or not, at a threshold of 1e-10."""
+    w, v = np.linalg.eigh(h)
+    v = v[:, (w <= 1e-10) == zero]
+    return v @ v.conj().T
+
+
+@st.composite
+def bounded_pairs(draw):
+    """Two questions at dim 2-5, each rank 0..dim equally likely, so that
+    never and always are frequent operands: independent, nested or equal."""
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r1, r2 = sorted(draw(st.integers(0, dim)) for _ in range(2))
+    relation = draw(st.sampled_from(["independent", "nested", "equal"]))
+    if relation == "independent":
+        pair = random_question(dim, r1, rng), random_question(dim, r2, rng)
+    else:
+        u = haar_unitary(dim, rng)
+        r2 = r1 if relation == "equal" else r2
+        pair = _rotated(u[:, :r1], rng), _rotated(u[:, :r2], rng)
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_pairs())
+def test_lattice_operations_agree_with_projector_arithmetic(pair):
+    """join, meet and negate, shortcuts included, give orthonormal bases of
+    range(P1 + P2), ker((I - P1) + (I - P2)) and range(I - P1); implies and
+    same_question agree with the residual computed in both directions."""
+    q1, q2 = pair
+    p1, p2 = _projector(q1), _projector(q2)
+    eye = np.eye(q1.ambient_dim)
+    for got, oracle in ((join(q1, q2), _eigenspace_projector(p1 + p2, zero=False)),
+                        (meet(q1, q2), _eigenspace_projector(2 * eye - p1 - p2, zero=True)),
+                        (negate(q1), eye - p1)):
+        assert orthonormality_defect(got.basis) <= ATOL
+        assert np.abs(_projector(got) - oracle).max() < 1e-8
+    inside_q2 = np.linalg.norm((eye - p2) @ q1.basis) < ATOL
+    inside_q1 = np.linalg.norm((eye - p1) @ q2.basis) < ATOL
+    assert implies(q1, q2) == inside_q2
+    assert implies(q2, q1) == inside_q1
+    assert same_question(q1, q2) == same_question(q2, q1) == (inside_q2 and inside_q1)
 
 
 def test_orthogonality():
