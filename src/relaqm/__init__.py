@@ -50,9 +50,9 @@ _EXPORTS = {
         "redundant_flags", "same_question",
     ),
     "kernels": (
-        "TransitionKernel", "UnistochasticDecision", "UnistochasticResult",
-        "classical_composite_probability", "compose", "composite_probability",
-        "decide_unistochastic", "interference_gap", "kernel_from_families", "phase_fix",
+        "TransitionKernel", "UnistochasticDecision", "classical_composite_probability",
+        "compose", "composite_probability", "decide_unistochastic",
+        "interference_gap", "kernel_from_families", "phase_fix",
         "triangle_criterion_3x3", "unistochastic_search",
         "verify_double_stochastic",
     ),

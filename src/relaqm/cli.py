@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DescriptionUnavailable,
+    InvalidDimension,
     NotDoublyStochastic,
     ParseError,
     PreconditionViolated,
@@ -189,7 +190,7 @@ def _lattice_laws(dim: int, rng: np.random.Generator):
 
 def _cmd_lattice_check(args) -> int:
     if args.dim < 2:
-        raise ValidationError("InvalidDimension", f"dim must be >= 2, got {args.dim}")
+        raise InvalidDimension(f"dim must be >= 2, got {args.dim}")
     _refuse_too_large(LATTICE_ARRAYS * args.dim * args.dim,
                       f"a dim-{args.dim} sweep of {LATTICE_ARRAYS} dim x dim arrays")
     rng = np.random.default_rng(_effective_seed(args.seed, 0))

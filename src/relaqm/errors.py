@@ -40,14 +40,6 @@ class PreconditionViolated(RelaqmError):
     """An operation was called outside its stated precondition."""
 
 
-class InvalidDimension(RelaqmError):
-    """Hilbert-space dimension outside the supported range."""
-
-
-class TooLarge(RelaqmError):
-    """Enumeration guard tripped (e.g. Boolean algebra beyond the size limit)."""
-
-
 class IndexOutOfRange(RelaqmError):
     """Outcome index not valid for the kernel or family at hand."""
 
@@ -89,6 +81,22 @@ class NormalizationError(ValidationError):
 
     def __init__(self, message: str):
         super().__init__("Normalization", message)
+
+
+class InvalidDimension(ValidationError):
+    """Hilbert-space dimension outside the supported range."""
+
+    def __init__(self, message: str):
+        super().__init__("InvalidDimension", message)
+
+
+class TooLarge(ValidationError):
+    """An input that would hold more than the package allows: amplitudes past
+    the 2**26 budget, a premeasurement past its dimension, or a Boolean
+    algebra past its enumeration limit."""
+
+    def __init__(self, message: str):
+        super().__init__("TooLarge", message)
 
 
 class DescriptionUnavailable(RelaqmError):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAPartition, ValidationError, ZeroBranch
+from .errors import DimensionMismatch, NotAPartition, TooLarge, ZeroBranch
 
 __all__ = [
     "ATOL",
@@ -59,9 +59,9 @@ RANK_TOL = 1e-7
 
 # The most amplitudes an input may ask for, 2**26 complex128 values (1 GiB),
 # read only by _refuse_too_large.  Each rule that calls it passes its own
-# count: `lattice-check` and `unistochastic` their measured peak, while the
-# scenario's accounts and a `kernel` request's family count only the
-# amplitudes the input itself holds, not what a run holds at its peak.
+# count: a scenario's run (RUN_ARRAYS x its accounts), `lattice-check` and
+# `unistochastic` their measured peak, and a `kernel` request's family the
+# amplitudes it holds.
 _MAX_AMPLITUDES = 2**26
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -87,10 +87,10 @@ def _as_complex_matrix(values) -> np.ndarray:
 
 def _refuse_too_large(amplitudes: int, what: str) -> None:
     """Refuse, before anything is allocated, ``what`` holding more than
-    _MAX_AMPLITUDES amplitudes (a ``TooLarge`` :class:`ValidationError`)."""
+    _MAX_AMPLITUDES amplitudes with :class:`TooLarge`."""
     if amplitudes > _MAX_AMPLITUDES:
-        raise ValidationError("TooLarge", f"{what} would hold {amplitudes} amplitudes, "
-                                          f"more than the {_MAX_AMPLITUDES} allowed")
+        raise TooLarge(f"{what} would hold {amplitudes} amplitudes, "
+                       f"more than the {_MAX_AMPLITUDES} allowed")
 
 
 def orthonormality_defect(columns: np.ndarray) -> float:
@@ -279,15 +279,14 @@ def conditional_state(s: StateVector, p: Operator) -> StateVector:
     return StateVector(out / weight, s.dim_factors, s.relative_to)
 
 
-def basis_state(dim: int, index: int, relative_to: str,
-                dim_factors: tuple[int, ...] | None = None) -> StateVector:
+def basis_state(dim: int, index: int, relative_to: str) -> StateVector:
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps, dim_factors or (dim,), relative_to)
+    return StateVector(amps, (dim,), relative_to)
 
 
-def identity(dim: int, dim_factors: tuple[int, ...] | None = None) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), dim_factors or (dim,))
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=complex), (dim,))
 
 
 def projector_onto(columns: np.ndarray,

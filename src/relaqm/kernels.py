@@ -42,7 +42,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TransitionKernel",
     "StochasticReport",
-    "UnistochasticResult",
     "UnistochasticDecision",
     "kernel_from_families",
     "verify_double_stochastic",
@@ -273,24 +272,25 @@ def _search_amplitudes(dim: int) -> int:
 
 
 @dataclass(frozen=True)
-class UnistochasticResult:
-    """Best unitary found, its residual, and each start's best residual."""
+class UnistochasticDecision:
+    """The verdict on p = |U|^2: ``unistochastic``, ``non-unistochastic`` or
+    ``inconclusive``.
 
-    U: np.ndarray
-    residual: float
-    start_residuals: np.ndarray
-    iterations: int
+    ``U`` and ``residual`` (||U|^2 - p| in the Frobenius norm) belong to the
+    unitary decided on.  A rejection certified by the chain links has
+    neither; its ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap).
+    A search also keeps each start's best residual (``start_residuals``) and
+    the ``iterations`` it ran.  ``check`` is the :class:`StochasticReport`
+    p was verified with.
+    """
 
-    @property
-    def verdict(self) -> str:
-        """``unistochastic`` when the residual is below OPT_ATOL,
-        ``non-unistochastic`` when every start stayed above STALL_RESIDUAL,
-        else ``inconclusive``."""
-        if self.residual < OPT_ATOL:
-            return "unistochastic"
-        if np.min(self.start_residuals) > STALL_RESIDUAL:
-            return "non-unistochastic"
-        return "inconclusive"
+    verdict: str
+    U: np.ndarray | None = None
+    residual: float | None = None
+    open_links: tuple[str, int, int, float] | None = None
+    start_residuals: np.ndarray | None = None
+    iterations: int = 0
+    check: StochasticReport = field(kw_only=True)
 
 
 def _project_unitary(a: np.ndarray) -> np.ndarray:
@@ -392,7 +392,7 @@ def _polish_start(best_u: np.ndarray, best_res: np.ndarray, b: int, p: np.ndarra
     return best_res[b]
 
 
-def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
+def unistochastic_search(p, seed: int = 0) -> UnistochasticDecision:
     """Search for a unitary with |U|^2 = p by multi-start projections.
 
     Each of N_STARTS starts runs, for at most MAX_ITERS iterations,
@@ -410,11 +410,12 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
     as without it.  If the loop ends without reaching 1e-12, the three best
     starts below 1e-2 are polished once more.
 
-    A residual below 1e-6 certifies p as unistochastic; non-unistochasticity
-    is declared only when every start stalls above 1e-2.
+    The verdict is ``unistochastic`` when the best residual is below OPT_ATOL
+    (1e-6), ``non-unistochastic`` only when every start stalls above
+    STALL_RESIDUAL (1e-2), and ``inconclusive`` otherwise.
     """
     p = np.asarray(p, dtype=float)
-    _check_double_stochastic(p)
+    check = _check_double_stochastic(p)
     dim = p.shape[0]
     root = np.sqrt(np.maximum(p, 0.0))
     stop = 1e-12
@@ -448,8 +449,15 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticResult:
                 break
 
     b = int(np.argmin(best_res))
-    return UnistochasticResult(U=best_u[b], residual=float(best_res[b]),
-                               start_residuals=best_res, iterations=iterations)
+    residual = float(best_res[b])
+    if residual < OPT_ATOL:
+        verdict = "unistochastic"
+    elif best_res.min() > STALL_RESIDUAL:
+        verdict = "non-unistochastic"
+    else:
+        verdict = "inconclusive"
+    return UnistochasticDecision(verdict, U=best_u[b], residual=residual,
+                                 start_residuals=best_res, iterations=iterations, check=check)
 
 
 def _check_double_stochastic(p: np.ndarray) -> StochasticReport:
@@ -549,23 +557,6 @@ def _closed_form_unitary(p: np.ndarray) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class UnistochasticDecision:
-    """The verdict on p = |U|^2.
-
-    ``U`` and ``residual`` (||U|^2 - p| in the Frobenius norm) belong to the
-    unitary decided on.  A rejection certified by the chain links has
-    neither; its ``open_links`` is (``"rows"`` or ``"columns"``, a, b, gap).
-    ``check`` is the :class:`StochasticReport` the decision verified p with.
-    """
-
-    verdict: str
-    U: np.ndarray | None = None
-    residual: float | None = None
-    open_links: tuple[str, int, int, float] | None = None
-    check: StochasticReport = field(kw_only=True)
-
-
 def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     """Decide whether p = |U|^2 for a unitary U, by the first step that can.
 
@@ -576,7 +567,8 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     3. For size <= 3 the closed form is accepted if it is unitary within
        ATOL and reproduces p with a residual below OPT_ATOL, the search's
        own acceptance bar.
-    4. Otherwise :func:`unistochastic_search` decides, with ``seed``.
+    4. Otherwise :func:`unistochastic_search` decides, with ``seed``, and its
+       decision is returned as it is.
     """
     p = np.asarray(p, dtype=float)
     check = _check_double_stochastic(p)
@@ -588,6 +580,4 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
         residual = float(np.linalg.norm(np.abs(u) ** 2 - p))
         if residual < OPT_ATOL and orthonormality_defect(u) <= ATOL:
             return UnistochasticDecision("unistochastic", U=u, residual=residual, check=check)
-    result = unistochastic_search(p, seed)
-    return UnistochasticDecision(result.verdict, U=result.U, residual=result.residual,
-                                 check=check)
+    return unistochastic_search(p, seed)

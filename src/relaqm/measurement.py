@@ -70,12 +70,11 @@ class MeasurementSetup:
 
 
 def standard_setup(system_dim: int, pointer_dim: int | None = None,
-                   system_basis: CompleteFamily | None = None,
-                   tag: str = "setup") -> MeasurementSetup:
+                   system_basis: CompleteFamily | None = None) -> MeasurementSetup:
     """Computational-basis setup with the pointer ready in |0>."""
     pointer_dim = pointer_dim or system_dim
     basis = system_basis or CompleteFamily.computational(system_dim)
-    return MeasurementSetup(basis, basis_state(pointer_dim, 0, tag))
+    return MeasurementSetup(basis, basis_state(pointer_dim, 0, "setup"))
 
 
 def _born_weights(amps: np.ndarray, dims: tuple[int, ...], pos: int,

@@ -117,14 +117,14 @@ class Question:
         return cls((v / n)[:, None])
 
     @classmethod
-    def from_span(cls, vectors, dim: int | None = None) -> "Question":
+    def from_span(cls, vectors) -> "Question":
         """Question spanned by arbitrary (possibly dependent) vectors."""
         arr = np.asarray(vectors, dtype=complex)
         if arr.ndim == 1:
             arr = arr[:, None]
         if not np.isfinite(arr).all():  # their SVD would fail or read rank 0
             raise ValueError("cannot span a question with a non-finite vector")
-        return cls(_orthonormalize(arr, dim or arr.shape[0]))
+        return cls(_orthonormalize(arr, arr.shape[0]))
 
     def __repr__(self):
         return f"Question(rank={self.rank}, ambient_dim={self.ambient_dim})"

@@ -8,15 +8,17 @@ README's table of parse-time rules names each of them.
 
 import argparse
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import relaqm
 from relaqm import cli, parsing
 from relaqm.cli import main
 from relaqm.errors import ValidationError
 from relaqm.kernels import UnistochasticDecision, verify_double_stochastic
-from relaqm.scenario import parse_scenario
+from relaqm.scenario import RUN_ARRAYS, parse_scenario, run
 
 ROOT = Path(__file__).resolve().parents[1]
 PARSER_SOURCES = [ROOT / "src" / "relaqm" / name for name in ("scenario.py", "parsing.py")]
@@ -243,8 +245,8 @@ def _lattice_check(dim, tmp_path, monkeypatch):
 # id: (the rule, applied where it is enforced to an input of a given size;
 # the largest size it accepts)
 SIZE_LIMITS = {
-    "accounts_one_observer": (_accounts(1), 27),  # 2**26 amplitudes, the limit itself
-    "accounts_two_observers": (_accounts(2), 26),  # 2 * 2**25
+    "accounts_one_observer": (_accounts(1), 24),  # RUN_ARRAYS * 2**23 = 2**26, the limit itself
+    "accounts_two_observers": (_accounts(2), 23),  # RUN_ARRAYS * 2 * 2**22
     "premeasurement": (_premeasurement, 512),  # d_s·d_o = 1024
     "kernel_dim": (_kernel_dim, 8192),  # 8192**2 = 2**26
     "unistochastic": (_unistochastic, 68),  # 3 * 68**4 < 2**26 < 3 * 69**4, the polish
@@ -259,3 +261,42 @@ def test_each_size_limit_accepts_its_largest_input_and_refuses_the_next(
     rule(largest, tmp_path, monkeypatch)
     with pytest.raises(ValidationError, match="^TooLarge: "):
         rule(largest + 1, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("rule, largest", SIZE_LIMITS.values(), ids=SIZE_LIMITS.keys())
+def test_every_size_limit_raises_the_exported_too_large(tmp_path, monkeypatch, rule, largest):
+    with pytest.raises(relaqm.TooLarge) as err:
+        rule(largest + 1, tmp_path, monkeypatch)
+    assert err.value.rule == "TooLarge"
+
+
+def test_library_size_and_dimension_guards_are_validation_errors():
+    with pytest.raises(relaqm.TooLarge) as err:
+        relaqm.boolean_algebra(relaqm.CompleteFamily.computational(11))
+    assert err.value.rule == "TooLarge"
+    with pytest.raises(relaqm.InvalidDimension) as err:
+        relaqm.info_capacity(1)
+    assert err.value.rule == "InvalidDimension"
+    with pytest.raises(relaqm.InvalidDimension) as err:
+        cli._cmd_lattice_check(argparse.Namespace(dim=1, seed=None))
+    assert isinstance(err.value, ValidationError) and err.value.rule == "InvalidDimension"
+
+
+def test_a_run_peaks_within_run_arrays_times_its_accounts():
+    """18 qubits, Q0 the one observer: a measure, an evolve, a measure on an
+    inner axis of Q0's account and a state query, the heaviest sequence
+    measured for RUN_ARRAYS (6.0 times the accounts)."""
+    events = ["measure: {observer: Q0, target: Q1, family: hadamard}",
+              "evolve: {target: Q1, hamiltonian: pauli_x, t: 0.7}",
+              "measure: {observer: Q0, target: Q2, family: hadamard}",
+              "query: {kind: state, of: [Q1], relative_to: Q0}"]
+    sc = parse_scenario(many_qubits(18, 1) + "events: [" + ", ".join(
+        "{" + event + "}" for event in events) + "]\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(sc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= RUN_ARRAYS * 16 * 2**17
