@@ -11,6 +11,7 @@ import numpy as np
 
 from relaqm import (
     CompleteFamily,
+    TransitionKernel,
     classical_composite_probability,
     compose,
     composite_probability,
@@ -36,7 +37,8 @@ print(f"  interference gap {composite - classical:+.6f}")
 
 print("\n== classical kernels carry no interference ==")
 perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-gaps = [interference_gap(perm, i, (j, j2))
+perm_kernel = TransitionKernel(np.abs(perm) ** 2, to_family="a", from_family="b", U=perm)
+gaps = [interference_gap(perm_kernel, i, (j, j2))
         for i in range(3) for j in range(3) for j2 in range(j + 1, 3)]
 print(f"  3-cycle permutation kernel: max |gap| over all triples = {max(map(abs, gaps))}")
 

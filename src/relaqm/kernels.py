@@ -154,16 +154,9 @@ def _kernel_of(u: np.ndarray, to_family: str, from_family: str) -> TransitionKer
         raise PreconditionViolated(f"{to_family} <- {from_family}: {exc}") from exc
 
 
-def _row_pair(kernel_or_matrix, i: int, jk: tuple[int, int],
-              unitary: bool) -> tuple[float, float]:
-    """p[i, j] and p[i, k], from a kernel's p or from a raw matrix: |U|^2 where
-    the caller takes a unitary, the matrix itself where it takes p."""
-    if isinstance(kernel_or_matrix, TransitionKernel):
-        p = kernel_or_matrix.p
-    elif unitary:
-        p = np.abs(np.asarray(kernel_or_matrix, dtype=complex)) ** 2
-    else:
-        p = np.asarray(kernel_or_matrix, dtype=float)
+def _row_pair(kernel: TransitionKernel, i: int, jk: tuple[int, int]) -> tuple[float, float]:
+    """p[i, j] and p[i, k] of the kernel, its indices checked."""
+    p = kernel.p
     j, k = jk
     for name, idx in (("i", i), ("j", j), ("k", k)):
         if not 0 <= idx < p.shape[0]:
@@ -173,7 +166,7 @@ def _row_pair(kernel_or_matrix, i: int, jk: tuple[int, int],
     return p[i, j], p[i, k]
 
 
-def composite_probability(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
+def composite_probability(kernel: TransitionKernel, i: int, jk: tuple[int, int]) -> float:
     """Probability of yes-to-atom-i after yes-to-atom-i then yes to the
     composite question "atom j or atom k" of the other family.
 
@@ -181,28 +174,29 @@ def composite_probability(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
     forward amplitude U[i, m] times the reverse amplitude (the conjugate,
     since the reverse kernel carries U†), that is p[i, m], and the legs
     through j and k add before squaring: (p[i, j] + p[i, k])^2, which needs
-    only p.  Equals the projective-sequence value
-    ``|| P_i (P_j + P_k) |b_i> ||^2``.
+    only the kernel's p, so a kernel without U answers it too.  Equals the
+    projective-sequence value ``|| P_i (P_j + P_k) |b_i> ||^2``.
     """
-    pj, pk = _row_pair(kernel_or_u, i, jk, unitary=True)
+    pj, pk = _row_pair(kernel, i, jk)
     return float((pj + pk) ** 2)
 
 
-def classical_composite_probability(kernel_or_p, i: int, jk: tuple[int, int]) -> float:
-    """Incoherent value of the same chain: (p[i,j])^2 + (p[i,k])^2.
+def classical_composite_probability(kernel: TransitionKernel, i: int,
+                                    jk: tuple[int, int]) -> float:
+    """Incoherent value of the same chain on the kernel's p: (p[i,j])^2 + (p[i,k])^2.
 
     What the composite probability would be if the two exclusive alternatives
     contributed independently; the difference from
     :func:`composite_probability` is the interference term.
     """
-    pj, pk = _row_pair(kernel_or_p, i, jk, unitary=False)
+    pj, pk = _row_pair(kernel, i, jk)
     return float(pj ** 2 + pk ** 2)
 
 
-def interference_gap(kernel_or_u, i: int, jk: tuple[int, int]) -> float:
-    """Composite minus classical probability, 2 p[i,j] p[i,k]; zero for
-    permutation kernels."""
-    pj, pk = _row_pair(kernel_or_u, i, jk, unitary=True)
+def interference_gap(kernel: TransitionKernel, i: int, jk: tuple[int, int]) -> float:
+    """Composite minus classical probability of the kernel, 2 p[i,j] p[i,k];
+    zero for permutation kernels."""
+    pj, pk = _row_pair(kernel, i, jk)
     return float((pj + pk) ** 2 - (pj ** 2 + pk ** 2))
 
 

@@ -26,6 +26,7 @@ from relaqm.hilbert import (
     tensor,
 )
 from relaqm.kernels import (
+    TransitionKernel,
     classical_composite_probability,
     composite_probability,
     kernel_from_families,
@@ -143,10 +144,11 @@ def test_criterion_05_interference():
     for perm in perms:
         u = perm.astype(complex)
         dim = u.shape[0]
+        perm_kernel = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
         for i in range(dim):
             for j, k in itertools.combinations(range(dim), 2):
-                gap = (composite_probability(u, i, (j, k))
-                       - classical_composite_probability(np.abs(u) ** 2, i, (j, k)))
+                gap = (composite_probability(perm_kernel, i, (j, k))
+                       - classical_composite_probability(perm_kernel, i, (j, k)))
                 assert abs(gap) < 1e-12
 
 

@@ -12,6 +12,8 @@ from relaqm import cli, hilbert, kernels, parsing, questions, scenario
 from relaqm.cli import main
 from relaqm.hilbert import haar_unitary
 from relaqm.kernels import unistochastic_search
+from relaqm.measurement import MeasurementSetup, premeasurement_unitary
+from relaqm.questions import CompleteFamily
 from relaqm.scenario import emit_report, fixture_path
 
 WIGNER = str(fixture_path("wigner_friend.yaml"))
@@ -203,6 +205,24 @@ def test_a_pair_whose_kernel_fails_its_check_exits_3(tmp_path, capsys, query, fa
     assert capsys.readouterr().err.startswith(f"error: f <- f: {check}")
 
 
+def test_a_wrong_basis_premeasurement_exits_3(tmp_path, capsys, monkeypatch):
+    """O measures S = 0.6|0> + 0.8|1> in the computational family while P
+    watches.  Built on the Hadamard basis instead, the premeasurement leaves
+    P's marginal for S at [0.5, 0.5] against O's [0.36, 0.64], and the
+    cross-observer check exits 3.  (S = |+>, as in wigner_friend, would leave
+    every marginal at [0.5, 0.5].)"""
+    doc = tmp_path / "measure.yaml"
+    doc.write_text(_scenario(prep_s="[0.6, 0.8]", events="[{measure: {observer: O, target: S, "
+                                                         "family: computational}}]"))
+    assert main(["run", str(doc)]) == 0
+    capsys.readouterr()
+    hadamard = CompleteFamily.hadamard()
+    monkeypatch.setattr(scenario, "premeasurement_unitary", lambda setup: premeasurement_unitary(
+        MeasurementSetup(hadamard, setup.pointer_ready)))
+    assert main(["run", str(doc)]) == 3
+    assert capsys.readouterr().err.startswith("cross-observer marginal agreement 0.14 ")
+
+
 def test_a_failing_pair_after_built_ones_exits_3(tmp_path, capsys):
     """Kernels are built once per run, at a pair's first query: a failing
     pair queried after a repeated good one still ends the run with exit 3."""
@@ -216,10 +236,19 @@ def test_a_failing_pair_after_built_ones_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: f <- f: kernel is not doubly stochastic")
 
 
-def test_lattice_check(capsys):
-    assert main(["lattice-check", "3", "--seed", "5"]) == 0
+LATTICE_LAWS = ("commutativity", "associativity", "de_morgan", "double_negation",
+                "complement", "orthomodular")
+
+
+# at dim 2 most operands are the bounds never and always, answered by
+# identity; at dim 6 few are
+@pytest.mark.parametrize("argv", [["3", "--seed", "5"], ["2"], ["6", "--seed", "1"]],
+                         ids=["dim3_seed5", "dim2", "dim6_seed1"])
+def test_lattice_check(capsys, argv):
+    """One line per law, each reading `pass`."""
+    assert main(["lattice-check", *argv]) == 0
     out = capsys.readouterr().out
-    assert "orthomodular" in out and "FAIL" not in out
+    assert [line.split() for line in out.splitlines()] == [[law, "pass"] for law in LATTICE_LAWS]
 
 
 def test_lattice_check_bad_dim(capsys):

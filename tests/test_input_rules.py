@@ -2,6 +2,7 @@
 
 A rule the parser names (`ValidationError`) exits 2 with ``error: <Rule>:``;
 malformed structure (`ParseError`) exits 2 with ``error:`` and the field.
+Either way nothing is printed on stdout.
 The table below covers every rule name raised in the parsing sources, and
 README's table of parse-time rules names each of them.
 """
@@ -46,6 +47,14 @@ def query(body):
     return f"[{{query: {{{body}}}}}]"
 
 
+def many_qubits(n: int, observers: int) -> str:
+    """A valid document of n qubits in |0>, the first ``observers`` of them observers."""
+    names = [f"Q{i}" for i in range(n)]
+    return ("systems: [" + ", ".join(f"{{name: {q}, dim: 2}}" for q in names) + "]\n"
+            f"observers: [{', '.join(names[:observers])}]\n"
+            "preparations: {" + ", ".join(f"{q}: [1.0, 0.0]" for q in names) + "}\n")
+
+
 QUTRIT_S = "[{name: S, dim: 3}, {name: O, dim: 3}]"
 QUTRIT_READY = "{S: [1.0, 0.0, 0.0], O: [1.0, 0.0, 0.0]}"
 BIG_O = "[{name: S, dim: 2}, {name: O, dim: 513}]"
@@ -88,6 +97,9 @@ CASES = {
     "accounts_too_large": ("run", scenario(systems="[{name: A, dim: 8193}, {name: B, dim: 8192}, "
                                                    "{name: O, dim: 2}]", preparations="{}"),
                            "TooLarge"),
+    # 2**26 account amplitudes, which the accounts rule once admitted; a run
+    # peaks at several times that
+    "accounts_27_qubits_one_observer": ("run", many_qubits(27, 1), "TooLarge"),
     # families
     "family_rows_differ": ("run", scenario(extra="families: {f: [[1, 0], [0]]}\n"),
                            "error: families.f: rows have differing lengths"),
@@ -175,15 +187,21 @@ def test_each_input_rule_exits_2_with_its_name(tmp_path, capsys, command, text, 
     doc = tmp_path / "input.yaml"
     doc.write_text(text)
     assert main([command, str(doc)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     prefix = expected if expected.startswith("error:") else f"error: {expected}:"
     assert err.startswith(prefix), err
 
 
 def _parser_rules() -> set[str]:
-    rules = {"Normalization"}  # NormalizationError names its rule itself
+    """The rules named in ``ValidationError("…"`` calls, and the fixed rule of
+    each ValidationError subclass raised by class."""
+    rules = set()
     for path in PARSER_SOURCES:
-        rules |= set(re.findall(r'ValidationError\(\s*"(\w+)"', path.read_text()))
+        text = path.read_text()
+        rules |= set(re.findall(r'ValidationError\(\s*"(\w+)"', text))
+        rules |= {cls("").rule for cls in ValidationError.__subclasses__()
+                  if f"raise {cls.__name__}(" in text}
     return rules
 
 
@@ -197,14 +215,6 @@ def test_readme_names_every_rule_the_parser_raises():
     start = readme.index("Rules enforced at parse time")
     table = readme[start:readme.index("At run time", start)]
     assert not [rule for rule in sorted(_parser_rules()) if f"`{rule}`" not in table]
-
-
-def many_qubits(n: int, observers: int) -> str:
-    """A valid document of n qubits in |0>, the first ``observers`` of them observers."""
-    names = [f"Q{i}" for i in range(n)]
-    return ("systems: [" + ", ".join(f"{{name: {q}, dim: 2}}" for q in names) + "]\n"
-            f"observers: [{', '.join(names[:observers])}]\n"
-            "preparations: {" + ", ".join(f"{q}: [1.0, 0.0]" for q in names) + "}\n")
 
 
 def _accounts(observers: int):

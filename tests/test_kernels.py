@@ -126,15 +126,26 @@ def test_composite_probability_hadamard():
 
 
 def test_composite_probability_identity():
-    assert composite_probability(np.eye(2), 0, (0, 1)) == pytest.approx(1.0)
+    identity = TransitionKernel(np.eye(2), to_family="b", from_family="c")
+    assert composite_probability(identity, 0, (0, 1)) == pytest.approx(1.0)
 
 
 def test_composite_probability_index_checks():
-    u = np.eye(3, dtype=complex)
+    k = TransitionKernel(np.eye(3), to_family="b", from_family="c")
     with pytest.raises(IndexOutOfRange):
-        composite_probability(u, 0, (1, 1))
+        composite_probability(k, 0, (1, 1))
     with pytest.raises(IndexOutOfRange):
-        composite_probability(u, 3, (0, 1))
+        composite_probability(k, 3, (0, 1))
+
+
+@pytest.mark.parametrize("question", [composite_probability, classical_composite_probability,
+                                      interference_gap])
+def test_composite_questions_refuse_a_raw_matrix(question):
+    """Each composite question reads the p of a kernel; a raw matrix, which
+    could be taken for U or for p, is refused."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    with pytest.raises(AttributeError):
+        question(hadamard, 0, (0, 1))
 
 
 def test_composite_probability_needs_only_p():
@@ -152,8 +163,8 @@ def test_composite_probability_needs_only_p():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_composite_questions_agree_on_kernel_bare_kernel_and_unitary(dim):
-    """Haar U: the full kernel, the same kernel without U and the raw U give
-    one composite value, and the gap is 2 p[i, j] p[i, k]."""
+    """Haar U: the full kernel and the same kernel without U give one
+    composite value, and the gap is 2 p[i, j] p[i, k]."""
     rng = np.random.default_rng(40 + dim)
     for _ in range(10):
         u = haar_unitary(dim, rng)
@@ -161,9 +172,9 @@ def test_composite_questions_agree_on_kernel_bare_kernel_and_unitary(dim):
         bare = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c")
         for i in range(dim):
             for j, k in itertools.combinations(range(dim), 2):
-                values = [composite_probability(x, i, (j, k)) for x in (full, bare, u)]
+                values = [composite_probability(x, i, (j, k)) for x in (full, bare)]
                 assert max(values) - min(values) <= 1e-15
-                gaps = [interference_gap(x, i, (j, k)) for x in (full, bare, u)]
+                gaps = [interference_gap(x, i, (j, k)) for x in (full, bare)]
                 for gap in gaps:
                     assert abs(gap - 2 * full.p[i, j] * full.p[i, k]) <= 1e-15
 
@@ -188,7 +199,8 @@ def test_classical_composite_and_gap():
     classical = classical_composite_probability(k, 0, (0, 1))
     assert classical == pytest.approx(0.5, abs=1e-12)
     assert interference_gap(k, 0, (0, 1)) == pytest.approx(0.5, abs=1e-12)
-    assert interference_gap(np.eye(2), 0, (0, 1)) == 0.0
+    identity = TransitionKernel(np.eye(2), to_family="b", from_family="c")
+    assert interference_gap(identity, 0, (0, 1)) == 0.0
 
 
 def test_gap_vanishes_for_permutation_kernels():
@@ -196,18 +208,20 @@ def test_gap_vanishes_for_permutation_kernels():
         u = np.zeros((3, 3), dtype=complex)
         for row, col in enumerate(perm):
             u[row, col] = 1.0
+        kernel = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
         for i in range(3):
             for j, k in itertools.combinations(range(3), 2):
-                assert interference_gap(u, i, (j, k)) == 0.0
+                assert interference_gap(kernel, i, (j, k)) == 0.0
 
 
 def test_gap_nonnegative_for_same_phase_rows():
     rng = np.random.default_rng(4)
     for _ in range(50):
         u = haar_unitary(3, rng)
+        kernel = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
         for i in range(3):
             for j, k in itertools.combinations(range(3), 2):
-                assert interference_gap(u, i, (j, k)) >= -1e-12
+                assert interference_gap(kernel, i, (j, k)) >= -1e-12
 
 
 def test_compose_inverse_pair_is_identity():
