@@ -78,12 +78,11 @@ def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     report = run(sc, seed=_effective_seed(args.seed))
     text = emit_report(report, format=args.format)
-    sys.stdout.write(text)
-    if args.out:
-        if args.format != "structured":
-            text = emit_report(report, format="structured")
+    if args.out:  # written first: a path that cannot be written leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text if args.format == "structured"
+                     else emit_report(report, format="structured"))
+    sys.stdout.write(text)
     worst = report.worst_marginal_agreement()
     if report.violations:
         sys.stderr.write("report linter found untagged states\n")

@@ -94,10 +94,12 @@ def _refuse_too_large(amplitudes: int, what: str) -> None:
 
 
 def orthonormality_defect(columns: np.ndarray) -> float:
-    """Largest entry of ``|B†B - I|`` for the columns of B; 0 when B has none."""
-    gram = columns.conj().T @ columns
-    gram.flat[::gram.shape[0] + 1] -= 1  # subtract I in place
-    return float(np.abs(gram).max(initial=0.0))
+    """Largest entry of ``|B†B - I|`` for the columns of B; 0 when B has none,
+    inf or NaN when B†B overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = columns.conj().T @ columns
+        gram.flat[::gram.shape[0] + 1] -= 1  # subtract I in place
+        return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +162,8 @@ class Operator:
 
     @cached_property
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < ATOL)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf: not hermitian
+            return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < ATOL)
 
     @cached_property
     def is_unitary(self) -> bool:

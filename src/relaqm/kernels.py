@@ -126,8 +126,9 @@ def verify_double_stochastic(p) -> StochasticReport:
     p = np.asarray(p, dtype=float)
     range_violation = max(float(np.max(-p, initial=0.0)),
                           float(np.max(p - 1.0, initial=0.0)), 0.0) + 0.0
-    row = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-    col = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows reads as inf
+        row = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
+        col = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
     return StochasticReport(range_violation, row, col)
 
 

@@ -9,7 +9,6 @@ exported by :mod:`relaqm.scenario`, which is where they are documented.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 
@@ -168,22 +167,9 @@ def _complex_value(raw, where: str) -> complex:
     return complex(_real_value(raw, where))
 
 
-_LISTS_ONLY = frozenset((list,))
-_PAIRS_ONLY = frozenset((2,))
-_FLOATS_ONLY = frozenset((float,))
-
-
 def _complex_vector(raw, where: str) -> np.ndarray:
-    """A list of amplitudes.  A list of finite ``[float, float]`` pairs, the
-    form reports and generated scenarios use, is read in one pass at C level:
-    its float64 (re, im) pairs are the bytes of complex128 values.  Any other
-    list goes element by element, to the same values and the same errors."""
-    if (type(raw) is list and raw and _LISTS_ONLY.issuperset(map(type, raw))
-            and _PAIRS_ONLY.issuperset(map(len, raw))
-            and _FLOATS_ONLY.issuperset(map(type, itertools.chain.from_iterable(raw)))):
-        pairs = np.array(raw, dtype=float)
-        if np.isfinite(pairs).all():
-            return pairs.view(complex).reshape(-1)
+    """A non-empty list of amplitudes, each a number or an ``[re, im]`` pair,
+    read element by element by :func:`_complex_value`."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ParseError(f"{where}: expected a non-empty list of amplitudes")
     return np.array([_complex_value(x, where) for x in raw], dtype=complex)

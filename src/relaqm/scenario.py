@@ -51,9 +51,8 @@ from .kernels import (
 )
 from .measurement import (_MAX_PREMEASUREMENT_DIM, MeasurementSetup, _born_weights,
                           _collapse, _completion, premeasurement_unitary)
-from .parsing import (_FLOATS_ONLY, _LISTS_ONLY, _complex_vector, _family_reader, _name,
-                      _optional, _real_value, _square_matrix, parse_families, parse_yaml,
-                      read_text, resolve_family)
+from .parsing import (_complex_vector, _family_reader, _name, _optional, _real_value,
+                      _square_matrix, parse_families, parse_yaml, read_text, resolve_family)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -361,7 +360,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 "DimensionMismatch",
                 f"preparations.{sname}: {vec.size} amplitudes for a dim-{sdim} system")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
+            norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > ATOL:
             raise NormalizationError(
                 f"preparations.{sname}: norm is {norm!r}, amplitudes must be "
@@ -708,6 +708,8 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
 
 
 _LEAF_TYPES = frozenset((float, int, str, bool, type(None)))
+_LISTS_ONLY = frozenset((list,))
+_FLOATS_ONLY = frozenset((float,))
 
 
 def lint_report(report: Report) -> list[str]:

@@ -409,6 +409,17 @@ def test_each_family_is_checked_for_unitarity_once(monkeypatch, parse, text, che
     assert checked == [(2, 2)] * checks
 
 
+# finite entries whose check overflows: the overflow reads as inf or NaN,
+# which fails the check's rule, with no numpy warning on stderr
+OVERFLOWING_INPUTS = {
+    "overflowing_preparation": ("run", _scenario(prep_s="[1.0e+200, 0.0]")),
+    "overflowing_hamiltonian": ("run", _scenario(
+        events="[{evolve: {target: S, hamiltonian: [[0, 1.0e+308], [-1.0e+308, 0]], t: 1.0}}]")),
+    "overflowing_family": ("run", _scenario(extra="families: {f: [[1.0e+200, 0], [0, 1]]}")),
+    "kernel_overflowing_family": ("kernel", "dim: 2\nfamilies: {f: [[1.0e+200, 0], [0, 1]]}\n"),
+    "unistochastic_overflowing_sums": ("unistochastic", "1e308 1e308\n1e308 1e308\n"),
+}
+
 REJECTED_INPUTS = {
     "nan_preparation": ("run", _scenario(prep_s="[.nan, 1.0]")),
     "nan_duration": ("run", _scenario(
@@ -486,6 +497,7 @@ REJECTED_INPUTS = {
     "control_character": ("run", "name: a\x01b\n" + _scenario()),
     # deeper than the pure-Python loader composes; with libyaml, not an integer
     "kernel_dim_nested_600_deep": ("kernel", "dim: " + "[" * 600 + "]" * 600 + "\n"),
+    **OVERFLOWING_INPUTS,
 }
 
 
@@ -495,7 +507,11 @@ def _assert_rejected(tmp_path, capsys, command, text):
     with warnings.catch_warnings():  # the error line is all the user sees
         warnings.simplefilter("error")
         assert main([command, str(doc)]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+    if (command, text) in OVERFLOWING_INPUTS.values():
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, text", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
@@ -606,7 +622,8 @@ def test_unreadable_paths_exit_2(tmp_path, capsys, argv):
     latin1 = tmp_path / "latin1.yaml"
     latin1.write_bytes("name: caf\u00e9\n".encode("latin-1"))
     assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "error:" in err
     if "{latin1}" in argv:
         assert f"error: {latin1}: not UTF-8 text" in err
