@@ -134,7 +134,8 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
+            return float(np.linalg.norm(self.amplitudes))
 
     def __repr__(self):
         return (f"StateVector(dim={self.dim}, factors={self.dim_factors}, "
@@ -173,7 +174,8 @@ class Operator:
     def is_projector(self) -> bool:
         if not self.is_hermitian:
             return False
-        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) < ATOL)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf: not a projector
+            return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) < ATOL)
 
     def __repr__(self):
         return f"Operator(dim={self.dim}, factors={self.dim_factors})"

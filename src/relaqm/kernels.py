@@ -410,7 +410,11 @@ def unistochastic_search(p, seed: int = 0) -> UnistochasticDecision:
     STALL_RESIDUAL (1e-2), and ``inconclusive`` otherwise.
     """
     p = np.asarray(p, dtype=float)
-    check = _check_double_stochastic(p)
+    return _search(p, _check_double_stochastic(p), seed)
+
+
+def _search(p: np.ndarray, check: StochasticReport, seed: int) -> UnistochasticDecision:
+    """:func:`unistochastic_search` on a p already verified, whose report is ``check``."""
     dim = p.shape[0]
     root = np.sqrt(np.maximum(p, 0.0))
     stop = 1e-12
@@ -562,8 +566,8 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
     3. For size <= 3 the closed form is accepted if it is unitary within
        ATOL and reproduces p with a residual below OPT_ATOL, the search's
        own acceptance bar.
-    4. Otherwise :func:`unistochastic_search` decides, with ``seed``, and its
-       decision is returned as it is.
+    4. Otherwise the search of :func:`unistochastic_search` decides, with
+       ``seed`` and step 1's report, and its decision is returned as it is.
     """
     p = np.asarray(p, dtype=float)
     check = _check_double_stochastic(p)
@@ -575,4 +579,4 @@ def decide_unistochastic(p, seed: int = 0) -> UnistochasticDecision:
         residual = float(np.linalg.norm(np.abs(u) ** 2 - p))
         if residual < OPT_ATOL and orthonormality_defect(u) <= ATOL:
             return UnistochasticDecision("unistochastic", U=u, residual=residual, check=check)
-    return unistochastic_search(p, seed)
+    return _search(p, check, seed)

@@ -46,7 +46,8 @@ def parse_yaml(text: str):
     that loader's own ``SafeConstructor``, so the values are the ones
     ``yaml.load`` builds.  A syntax error, and anything the loader raises
     while building the tree (``!!float abc``, or nesting deeper than the
-    pure-Python loader can compose), is a :class:`ParseError`.
+    pure-Python loader can compose), is a :class:`ParseError` of one line; a
+    syntax error names its problem and the problem's 1-based line and column.
     """
     import yaml  # deferred: `unistochastic` and `lattice-check` read no YAML
 
@@ -58,7 +59,10 @@ def parse_yaml(text: str):
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:
-        raise ParseError(f"not a well-formed document: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)  # one line: the problem and where it is
+        message = (f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})"
+                   if mark is not None and exc.problem else " ".join(str(exc).split()))
+        raise ParseError(f"not a well-formed document: {message}") from exc
     except _BUILD_ERRORS as exc:
         raise ParseError(f"not a well-formed document: a value cannot be read "
                          f"({type(exc).__name__}: {exc})") from exc

@@ -545,12 +545,13 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         account = accounts[obs]
         if account.broken is not None:
             continue
-        target, pointer = account.position(ev.target), account.position(ev.observer)
-        account.apply_on((target, pointer), u_pre)
-        q_marginal, tensor = _born_weights(account.amps, account.dims, target,
-                                           ev.family.basis)
+        account.apply_on((account.position(ev.target), account.position(ev.observer)), u_pre)
         cluster_names, cluster_amps = _minimal_cluster(
             account, (ev.target, ev.observer))
+        # the pair's statistics are its cluster's, which factors out of the account
+        target, pointer = cluster_names.index(ev.target), cluster_names.index(ev.observer)
+        cluster_dims = tuple(account.dims[account.position(name)] for name in cluster_names)
+        q_marginal, tensor = _born_weights(cluster_amps, cluster_dims, target, ev.family.basis)
         entry["entangled"].append({
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),

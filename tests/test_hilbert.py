@@ -1,5 +1,7 @@
 """Core Hilbert-space numerics: tensors, Born weights, sampling, collapse."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_state_vector_refuses_a_nan_amplitude():
         StateVector([np.nan, 0.0], (2,), "O")
 
 
+def test_state_vector_refuses_a_norm_that_overflows():
+    """A finite amplitude whose norm overflows reads as an inf norm, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm inf"):
+            StateVector([1e200, 0.0], (2,), "O")
+
+
 def test_state_vector_is_immutable():
     s = basis_state(2, 0, "O")
     with pytest.raises(ValueError):
@@ -71,6 +81,13 @@ def test_operator_flags_are_verified_not_trusted():
     assert p.is_projector and not p.is_unitary
     skew = Operator([[0, 1], [0, 0]], (2,))
     assert not skew.is_hermitian and not skew.is_unitary and not skew.is_projector
+
+
+def test_a_projector_check_that_overflows_reads_false():
+    """P @ P overflows for a finite entry near 1e200: inf, not a projector, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Operator([[1e200, 0], [0, 0]], (2,)).is_projector is False
 
 
 def test_tensor_basis_states():

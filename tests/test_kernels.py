@@ -417,20 +417,42 @@ def test_search_agrees_with_the_triangle_criterion_across_the_boundary(t):
         assert (verdict == "unistochastic") == triangle_criterion_3x3(p)
 
 
-def _refuse_search(p, seed=0):
+def _refuse_search(p, check, seed):
     raise AssertionError("the decision fell through to the search")
 
 
 def _count_searches(monkeypatch) -> list:
     """Let the search run, recording each call."""
     calls = []
+    search = kernels._search
 
-    def search(p, seed=0):
+    def counted(p, check, seed):
         calls.append(seed)
-        return unistochastic_search(p, seed)
+        return search(p, check, seed)
 
-    monkeypatch.setattr(kernels, "unistochastic_search", search)
+    monkeypatch.setattr(kernels, "_search", counted)
     return calls
+
+
+def test_a_decision_that_reaches_the_search_verifies_p_once(monkeypatch):
+    """The decision hands its report to the search, which returns what
+    unistochastic_search returns, bit for bit."""
+    p = np.abs(haar_unitary(4, np.random.default_rng(3))) ** 2
+    expected = unistochastic_search(p, seed=5)
+    verified = []
+    verify = kernels.verify_double_stochastic
+
+    def counted(q):
+        verified.append(q.shape)
+        return verify(q)
+
+    monkeypatch.setattr(kernels, "verify_double_stochastic", counted)
+    searches = _count_searches(monkeypatch)
+    decision = decide_unistochastic(p, seed=5)
+    assert searches == [5] and verified == [(4, 4)]
+    assert decision.verdict == expected.verdict and decision.iterations == expected.iterations
+    assert decision.U.tobytes() == expected.U.tobytes()
+    assert decision.start_residuals.tobytes() == expected.start_residuals.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,7 +460,7 @@ def _count_searches(monkeypatch) -> list:
 def test_decision_builds_u_for_haar_moduli_in_closed_form(dim, draw):
     p = np.abs(haar_unitary(dim, np.random.default_rng(draw))) ** 2
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "unistochastic_search", _refuse_search)
+        mp.setattr(kernels, "_search", _refuse_search)
         decision = decide_unistochastic(p)
     assert decision.verdict == "unistochastic"
     assert np.max(np.abs(np.abs(decision.U) ** 2 - p)) < 1e-12
@@ -456,7 +478,7 @@ def test_haar_moduli_are_never_certified_non_unistochastic(dim, draw):
 @pytest.mark.parametrize("t", BOUNDARY_MIXES + (2 / 3,),
                          ids=[f"t{t:.4f}" for t in BOUNDARY_MIXES + (2 / 3,)])
 def test_decision_matches_the_triangle_criterion_without_a_search(t, monkeypatch):
-    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    monkeypatch.setattr(kernels, "_search", _refuse_search)
     p = mix(t)
     decision = decide_unistochastic(p)
     assert decision.verdict != "inconclusive"
@@ -478,7 +500,7 @@ def _zero_link_inputs():
 def test_decision_handles_zero_links(monkeypatch):
     """Permutations, diag(1, 1/2 (+) 1/2) under row and column permutations and
     the identities: links vanish, or two of three cancel exactly."""
-    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    monkeypatch.setattr(kernels, "_search", _refuse_search)
     for p in _zero_link_inputs():
         decision = decide_unistochastic(p)
         assert decision.verdict == "unistochastic", p
@@ -496,7 +518,7 @@ FOUR_OPEN_COLUMNS = np.array([[0.13, 0.36, 0.51, 0.00],
 @pytest.mark.parametrize("p, kind", [(FOUR_OPEN_COLUMNS, "columns"),
                                      (FOUR_OPEN_COLUMNS.T, "rows")], ids=["columns", "rows"])
 def test_open_links_certify_a_4x4_without_a_search(p, kind, monkeypatch):
-    monkeypatch.setattr(kernels, "unistochastic_search", _refuse_search)
+    monkeypatch.setattr(kernels, "_search", _refuse_search)
     decision = decide_unistochastic(p)
     assert decision.verdict == "non-unistochastic"
     assert decision.open_links[:3] == (kind, 2, 3)
