@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -215,18 +215,29 @@ def apply(op: Operator, s: StateVector) -> StateVector:
     return StateVector(out, s.dim_factors, s.relative_to, require_normalized=False)
 
 
+@lru_cache(maxsize=1024)
+def _axis_plan(dims: tuple[int, ...], positions: tuple[int, ...]):
+    """The axis order that puts ``positions`` first, its inverse, the moved
+    head's size and the moved shape, for :func:`_apply_on_factors`; kept,
+    since a run applies to the same few factor sets at every event."""
+    order = positions + tuple(ax for ax in range(len(dims)) if ax not in positions)
+    inverse = [0] * len(order)
+    for i, ax in enumerate(order):
+        inverse[ax] = i
+    return order, tuple(inverse), math.prod(dims[p] for p in positions), tuple(
+        dims[ax] for ax in order)
+
+
 def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
                       positions: tuple[int, ...], op: np.ndarray) -> np.ndarray:
-    """Apply an operator to selected tensor factors (identity elsewhere)."""
-    n = len(dims)
-    tensor = amps.reshape(dims)
-    order = list(positions) + [ax for ax in range(n) if ax not in positions]
-    tensor = np.transpose(tensor, order)
-    head = math.prod(dims[p] for p in positions)
-    moved = tensor.reshape(head, -1)
+    """Apply an operator to selected tensor factors (identity elsewhere).
+
+    Holds at most two arrays of the state's size: the moved copy is released
+    when the product is bound, before the product is moved back."""
+    order, inverse, head, shape = _axis_plan(dims, positions)
+    moved = amps.reshape(dims).transpose(order).reshape(head, -1)
     moved = op @ moved
-    tensor = moved.reshape([dims[ax] for ax in order])
-    return np.transpose(tensor, np.argsort(order)).reshape(-1)
+    return moved.reshape(shape).transpose(inverse).reshape(-1)
 
 
 def _check_partition(partition: list[Operator] | tuple[Operator, ...], dim: int) -> None:

@@ -420,9 +420,10 @@ class _Account:
         self.amps = amps
         self.broken: str | None = None
         self.blocks = {name: frozenset((name,)) for name in names}
+        self._positions = {name: i for i, name in enumerate(names)}
 
     def position(self, name: str) -> int:
-        return self.names.index(name)
+        return self._positions[name]
 
     def apply_on(self, positions: tuple[int, ...], op: np.ndarray) -> None:
         self.amps = _apply_on_factors(self.amps, self.dims, positions, op)
@@ -473,9 +474,9 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
         itertools.combinations(pool, k) for k in range(len(pool) + 1))
     for extra in extras:
         subset = sorted(target_idx + extra)
-        rest = [i for i in range(n) if i not in subset]
-        moved = np.transpose(tensor, subset + rest)
-        block = moved.reshape(math.prod(account.dims[i] for i in subset), -1)
+        chosen = set(subset)
+        block = tensor.transpose(subset + [i for i in range(n) if i not in chosen]).reshape(
+            math.prod(account.dims[i] for i in subset), -1)
         if block.shape[1] == 1:
             factor = block[:, 0]
         else:
@@ -496,7 +497,7 @@ def _state_payload(amps: np.ndarray, systems, relative_to: str) -> dict:
     return {
         "relative_to": relative_to,
         "systems": list(systems),
-        "amplitudes": np.column_stack((amps.real, amps.imag)).tolist(),
+        "amplitudes": np.ascontiguousarray(amps, complex).view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -1,5 +1,7 @@
 """Core Hilbert-space numerics: tensors, Born weights, sampling, collapse."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from relaqm.hilbert import (
     Operator,
     PAULI_X,
     StateVector,
+    _apply_on_factors,
     apply,
     basis_state,
     born_probabilities,
@@ -42,6 +45,66 @@ def test_orthonormality_defect_matches_the_reference_bit_for_bit():
                   rng.normal(size=(dim, rank))]
     for columns in cases:
         assert orthonormality_defect(columns) == reference_orthonormality_defect(columns)
+
+
+def reference_apply_on_factors(amps, dims, positions, op):
+    n = len(dims)
+    tensor = amps.reshape(dims)
+    order = list(positions) + [ax for ax in range(n) if ax not in positions]
+    tensor = np.transpose(tensor, order)
+    head = math.prod(dims[p] for p in positions)
+    moved = tensor.reshape(head, -1)
+    moved = op @ moved
+    tensor = moved.reshape([dims[ax] for ax in order])
+    return np.transpose(tensor, np.argsort(order)).reshape(-1)
+
+
+def test_apply_on_factors_matches_the_reference_bit_for_bit():
+    """The same bytes as the kernel's reference body, on seeded factors and
+    positions in any order; and, where the dense operator is small, the same
+    state as the operator embedded with kron on the moved axes."""
+    rng = np.random.default_rng(25)
+    cases = [((2, 2, 2, 2), (3, 1)), ((1, 3, 1), (2,)), ((4,), (0,)), ((2, 1, 3), (1, 0, 2))]
+    for _ in range(300):
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 7))))
+        k = int(rng.integers(1, min(3, len(dims)) + 1))
+        cases.append((dims, tuple(int(p) for p in rng.permutation(len(dims))[:k])))
+    for dims, positions in cases:
+        total = math.prod(dims)
+        head = math.prod(dims[p] for p in positions)
+        amps = rng.normal(size=total) + 1j * rng.normal(size=total)
+        op = rng.normal(size=(head, head)) + 1j * rng.normal(size=(head, head))
+        out = _apply_on_factors(amps, dims, positions, op)
+        assert out.tobytes() == reference_apply_on_factors(amps, dims, positions, op).tobytes()
+        if total <= 512:
+            order = list(positions) + [ax for ax in range(len(dims)) if ax not in positions]
+            # moved[j] is amps[index[j]]: the state read with the positions' axes first
+            index = np.arange(total).reshape(dims).transpose(order).reshape(-1)
+            expected = np.empty_like(amps)
+            expected[index] = np.kron(op, np.eye(total // head)) @ amps[index]
+            assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("qubits, positions, accounts", [
+    (16, (0,), 1), (17, (0, 1), 1), (18, (0,), 1),
+    (16, (7,), 2), (18, (9,), 2), (17, (16,), 2), (18, (5, 2), 2), (16, (15, 3), 2)])
+def test_apply_on_factors_holds_at_most_two_accounts(qubits, positions, accounts):
+    """The moved copy is released before the product is moved back, so the
+    kernel allocates one account for a leading axis (no copy to move it)
+    and two otherwise; ``RUN_ARRAYS`` counts on that budget."""
+    dims = (2,) * qubits
+    amps = np.full(2**qubits, 0.5 + 0.5j)
+    op = haar_unitary(2 ** len(positions), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _apply_on_factors(amps, dims, positions, op)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == amps.shape
+    assert peak <= accounts * amps.nbytes + 8192
 
 
 def test_state_vector_validates_norm_and_factors():
