@@ -240,6 +240,13 @@ def _apply_on_factors(amps: np.ndarray, dims: tuple[int, ...],
     return moved.reshape(shape).transpose(inverse).reshape(-1)
 
 
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, bit for bit: the same two real
+    dot products and square root, without its Python-level dispatch."""
+    re, im = vec.real, vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _check_partition(partition: list[Operator] | tuple[Operator, ...], dim: int) -> None:
     total = np.zeros((dim, dim), dtype=complex)
     for i, p in enumerate(partition):

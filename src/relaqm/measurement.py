@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import Operator, StateVector, _apply_on_factors, basis_state, sample_index
+from .hilbert import (Operator, StateVector, _apply_on_factors, _norm, basis_state,
+                      sample_index)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -84,10 +85,8 @@ def _born_weights(amps: np.ndarray, dims: tuple[int, ...], pos: int,
     is in that basis.  The scenario runner measures its accounts with this
     helper, :func:`_collapse` and :func:`_completion`, as the functions below
     measure a system or a system-pointer pair."""
-    rotated = _apply_on_factors(amps, dims, (pos,), basis.conj().T)
-    tensor = rotated.reshape(dims)
-    other = tuple(ax for ax in range(len(dims)) if ax != pos)
-    return (np.abs(tensor) ** 2).sum(axis=other), tensor
+    tensor = _apply_on_factors(amps, dims, (pos,), basis.conj().T).reshape(dims)
+    return (abs(tensor) ** 2).sum(axis=(*range(pos), *range(pos + 1, len(dims)))), tensor
 
 
 def _collapse(tensor: np.ndarray, dims: tuple[int, ...], pos: int, outcome: int,
@@ -100,15 +99,15 @@ def _collapse(tensor: np.ndarray, dims: tuple[int, ...], pos: int, outcome: int,
     shape[pos] = dims[pos]
     collapsed = _apply_on_factors((tensor * mask.reshape(shape)).reshape(-1), dims,
                                   (pos,), basis)
-    return collapsed / np.linalg.norm(collapsed)
+    return collapsed / _norm(collapsed)
 
 
 def _completion(tensor: np.ndarray, system_pos: int, pointer_pos: int) -> float:
     """min(<psi|M|psi>, 1) for M = sum_i |b_i><b_i| ⊗ |i><i| on system and pointer:
     the weight on the two axes' diagonal of the tensor :func:`_born_weights`
     returns, which holds every mark since the pointer is no smaller."""
-    diagonal = np.diagonal(tensor, axis1=system_pos, axis2=pointer_pos)
-    return min(float(np.sum(np.abs(diagonal) ** 2)), 1.0)
+    diagonal = tensor.diagonal(axis1=system_pos, axis2=pointer_pos)
+    return min(float((abs(diagonal) ** 2).sum()), 1.0)
 
 
 def collapse_description(setup: MeasurementSetup, psi: StateVector,

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .dynamics import propagator
 from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
-                      _apply_on_factors, _refuse_too_large, sample_index)
+                      _apply_on_factors, _norm, _refuse_too_large, sample_index)
 from .kernels import (
     TransitionKernel,
     classical_composite_probability,
@@ -435,11 +435,11 @@ class _Account:
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real nonnegative (global phase fix)."""
     # not kernels.phase_fix, which gauges a unitary's row and column phases on its first row/column
-    idx = int(np.argmax(np.abs(amps)))
-    a = amps[idx]
-    if abs(a) < 1e-12:
+    a = amps[abs(amps).argmax()]
+    r = abs(a)
+    if r < 1e-12:
         return amps
-    return amps * (np.conj(a) / abs(a))
+    return amps * (np.conj(a) / r)
 
 
 # Screen on the second eigenvalue of a candidate's Gram matrix, which is s_1^2
@@ -464,11 +464,12 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
     rest is dropped without an SVD.  A group that passes is decided, and its
     factor taken, by the SVD alone, so the screen changes no amplitude.
     """
-    n = len(account.names)
-    target_idx = tuple(account.position(t) for t in targets)
-    reach = frozenset().union(*(account.blocks[t] for t in targets))
-    pool = sorted(account.position(name) for name in reach - set(targets))
-    tensor = account.amps.reshape(account.dims)
+    names, dims, positions = account.names, account.dims, account._positions
+    n = len(names)
+    target_idx = tuple([positions[t] for t in targets])
+    reach = frozenset().union(*[account.blocks[t] for t in targets])
+    pool = sorted([positions[name] for name in reach.difference(targets)])
+    tensor = account.amps.reshape(dims)
     # by size, then lexicographically; sorted(targets + extra) orders the same way
     extras = itertools.chain.from_iterable(
         itertools.combinations(pool, k) for k in range(len(pool) + 1))
@@ -476,7 +477,7 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
         subset = sorted(target_idx + extra)
         chosen = set(subset)
         block = tensor.transpose(subset + [i for i in range(n) if i not in chosen]).reshape(
-            math.prod(account.dims[i] for i in subset), -1)
+            math.prod([dims[i] for i in subset]), -1)
         if block.shape[1] == 1:
             factor = block[:, 0]
         else:
@@ -488,8 +489,7 @@ def _minimal_cluster(account: _Account, targets: tuple[str, ...]):
             if s.size > 1 and s[1] > 1e-9:
                 continue
             factor = u[:, 0]
-        names = tuple(account.names[i] for i in subset)
-        return names, _canonical_phase(factor / np.linalg.norm(factor))
+        return tuple([names[i] for i in subset]), _canonical_phase(factor / _norm(factor))
     raise RuntimeError("unreachable: the targets' blocks always factor")
 
 
@@ -509,15 +509,16 @@ def _require_active(account: _Account, context: str) -> None:
 
 
 def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
-                 report: Report) -> None:
+                 report: Report, dim_of: dict[str, int]) -> None:
     measurer = accounts[ev.observer]
     _require_active(measurer, f"event {idx}: {ev.observer} measuring {ev.target}")
 
     # collapse description, relative to the measuring observer
+    basis = ev.family.basis
     pos = measurer.position(ev.target)
-    probs, tensor = _born_weights(measurer.amps, measurer.dims, pos, ev.family.basis)
+    probs, tensor = _born_weights(measurer.amps, measurer.dims, pos, basis)
     outcome = sample_index(probs, rng)
-    measurer.amps = _collapse(tensor, measurer.dims, pos, outcome, ev.family.basis)
+    measurer.amps = _collapse(tensor, measurer.dims, pos, outcome, basis)
 
     entry = {
         "event": idx,
@@ -529,7 +530,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
             "relative_to": ev.observer,
             "outcome": outcome + 1,
             "probabilities": probs.tolist(),
-            "post_state": _state_payload(_canonical_phase(ev.family.basis[:, outcome]),
+            "post_state": _state_payload(_canonical_phase(basis[:, outcome]),
                                          [ev.target], ev.observer),
         },
         "entangled": [],
@@ -546,19 +547,20 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
         account = accounts[obs]
         if account.broken is not None:
             continue
-        account.apply_on((account.position(ev.target), account.position(ev.observer)), u_pre)
+        positions = account._positions
+        account.apply_on((positions[ev.target], positions[ev.observer]), u_pre)
         cluster_names, cluster_amps = _minimal_cluster(
             account, (ev.target, ev.observer))
         # the pair's statistics are its cluster's, which factors out of the account
         target, pointer = cluster_names.index(ev.target), cluster_names.index(ev.observer)
-        cluster_dims = tuple(account.dims[account.position(name)] for name in cluster_names)
-        q_marginal, tensor = _born_weights(cluster_amps, cluster_dims, target, ev.family.basis)
+        cluster_dims = tuple([dim_of[name] for name in cluster_names])
+        q_marginal, tensor = _born_weights(cluster_amps, cluster_dims, target, basis)
         entry["entangled"].append({
             "relative_to": obs,
             "post_state": _state_payload(cluster_amps, cluster_names, obs),
             "completion_probability": _completion(tensor, target, pointer),
             "q_marginal": q_marginal.tolist(),
-            "marginal_agreement": float(np.max(np.abs(q_marginal - probs))),
+            "marginal_agreement": float(abs(q_marginal - probs).max()),
         })
 
     if ev.target in accounts:
@@ -679,6 +681,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
     rng = np.random.default_rng(effective_seed)
     report = Report(scenario=sc.name, seed=effective_seed)
 
+    dim_of = {s.name: s.dim for s in sc.systems}
     accounts: dict[str, _Account] = {}
     for obs in sc.observers:
         names = tuple(s.name for s in sc.systems if s.name != obs)
@@ -693,7 +696,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
     kernels: dict = {}
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
-            _run_measure(sc, ev, idx, accounts, rng, report)
+            _run_measure(sc, ev, idx, accounts, rng, report, dim_of)
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):

@@ -13,6 +13,7 @@ from relaqm.hilbert import (
     PAULI_X,
     StateVector,
     _apply_on_factors,
+    _norm,
     apply,
     basis_state,
     born_probabilities,
@@ -84,6 +85,17 @@ def test_apply_on_factors_matches_the_reference_bit_for_bit():
             expected[index] = np.kron(op, np.eye(total // head)) @ amps[index]
             assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12 * max(
                 1.0, float(np.max(np.abs(expected))))
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    """The same float as ``np.linalg.norm`` on complex vectors of 1-2048
+    amplitudes, contiguous or a strided column like the SVD's ``u[:, 0]``."""
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 2049)), int(rng.integers(1, 5))
+        matrix = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        for vec in (matrix[:, 0], matrix.reshape(-1)[:rows], matrix[:, -1] * 1e-160):
+            assert np.float64(_norm(vec)).tobytes() == np.linalg.norm(vec).tobytes()
 
 
 @pytest.mark.parametrize("qubits, positions, accounts", [

@@ -1,5 +1,6 @@
 """Scenario parsing, the multi-observer runner, and report emission."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,9 @@ from relaqm.errors import (
 from relaqm import measurement as measurement_module
 from relaqm import scenario as scenario_module
 from relaqm.hilbert import (Operator, _apply_on_factors, haar_unitary, random_hermitian,
-                            random_state)
-from relaqm.measurement import _born_weights, _completion, correlation_operator, standard_setup
+                            random_state, sample_index)
+from relaqm.measurement import (_born_weights, _collapse, _completion, correlation_operator,
+                                standard_setup)
 from relaqm.parsing import _parse_kernel_request
 from relaqm.questions import CompleteFamily
 from relaqm.scenario import (
@@ -441,6 +443,146 @@ def test_empty_report_is_header_only():
     assert table == "scenario: test\nseed: 1\n"
 
 
+# Reference bodies of the measure event's helpers, written with numpy's
+# functions; the helpers must return the same bytes.
+
+
+def reference_canonical_phase(amps):
+    idx = int(np.argmax(np.abs(amps)))
+    a = amps[idx]
+    if abs(a) < 1e-12:
+        return amps
+    return amps * (np.conj(a) / abs(a))
+
+
+def reference_minimal_cluster(account, targets):
+    n = len(account.names)
+    target_idx = tuple(account.position(t) for t in targets)
+    reach = frozenset().union(*(account.blocks[t] for t in targets))
+    pool = sorted(account.position(name) for name in reach - set(targets))
+    tensor = account.amps.reshape(account.dims)
+    extras = itertools.chain.from_iterable(
+        itertools.combinations(pool, k) for k in range(len(pool) + 1))
+    for extra in extras:
+        subset = sorted(target_idx + extra)
+        chosen = set(subset)
+        block = tensor.transpose(subset + [i for i in range(n) if i not in chosen]).reshape(
+            math.prod(account.dims[i] for i in subset), -1)
+        if block.shape[1] == 1:
+            factor = block[:, 0]
+        else:
+            if len(extra) < len(pool) and block.shape[0] > 1:
+                wide = block if block.shape[0] <= block.shape[1] else block.T
+                if np.linalg.eigvalsh(wide @ wide.conj().T)[-2] > scenario_module._GRAM_SCREEN:
+                    continue
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            if s.size > 1 and s[1] > 1e-9:
+                continue
+            factor = u[:, 0]
+        names = tuple(account.names[i] for i in subset)
+        return names, reference_canonical_phase(factor / np.linalg.norm(factor))
+    raise RuntimeError("unreachable: the targets' blocks always factor")
+
+
+def reference_born_weights(amps, dims, pos, basis):
+    rotated = _apply_on_factors(amps, dims, (pos,), basis.conj().T)
+    tensor = rotated.reshape(dims)
+    other = tuple(ax for ax in range(len(dims)) if ax != pos)
+    return (np.abs(tensor) ** 2).sum(axis=other), tensor
+
+
+def reference_collapse(tensor, dims, pos, outcome, basis):
+    mask = np.zeros(dims[pos])
+    mask[outcome] = 1.0
+    shape = [1] * len(dims)
+    shape[pos] = dims[pos]
+    collapsed = _apply_on_factors((tensor * mask.reshape(shape)).reshape(-1), dims,
+                                  (pos,), basis)
+    return collapsed / np.linalg.norm(collapsed)
+
+
+def reference_completion(tensor, system_pos, pointer_pos):
+    diagonal = np.diagonal(tensor, axis1=system_pos, axis2=pointer_pos)
+    return min(float(np.sum(np.abs(diagonal) ** 2)), 1.0)
+
+
+def test_canonical_phase_matches_the_reference_bit_for_bit():
+    """Seeded vectors of 1-16 amplitudes: generic ones, ones whose largest
+    magnitude is an exact tie between differently phased entries, and ones
+    whose largest magnitude is below the 1e-12 cut, or just at it."""
+    rng = np.random.default_rng(26)
+    cases = [np.zeros(3, complex), np.array([1e-13j]), np.array([9.99e-13, -5e-13j]),
+             np.array([1e-12 + 0j, 0.5e-12j]), np.array([0.6, 0.8j]), np.array([-1j])]
+    ties = 0
+    for k in range(600):
+        size = int(rng.integers(1, 17))
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        if k % 3 == 1:  # a + bi, -a + bi, b - ai and -b - ai share one magnitude exactly
+            re, im = 4.0 + abs(rng.normal(size=2))
+            slots = rng.permutation(size)[:4]
+            amps[slots] = np.array([re + 1j * im, -re + 1j * im, im - 1j * re,
+                                    -im - 1j * re])[:len(slots)]
+            ties += np.count_nonzero(np.abs(amps) == np.abs(amps).max()) > 1
+        elif k % 3 == 2:
+            amps *= 1e-13
+        cases.append(amps)
+    assert ties > 150
+    for amps in cases:
+        assert scenario_module._canonical_phase(amps).tobytes() == \
+            reference_canonical_phase(amps).tobytes()
+
+
+def seeded_product_accounts(count: int, seed: int):
+    """``count`` accounts drawn like :func:`product_accounts`, from one seed,
+    with dims 1-3 so that one-dimensional systems appear too."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=n))
+        label, coarse = rng.integers(0, n, size=(2, n)).tolist()
+        targets = rng.permutation(n)[:int(rng.integers(1, min(3, n) + 1))].tolist()
+        account, targets, _ = _product_account(dims, label, coarse, targets, rng)
+        yield account, targets, rng
+
+
+def _seeded_basis(dim: int, rng) -> np.ndarray:
+    kind = rng.integers(3)
+    if kind == 0:
+        return CompleteFamily.computational(dim).basis
+    return CompleteFamily.fourier(dim).basis if kind == 1 else haar_unitary(dim, rng)
+
+
+def test_minimal_cluster_matches_the_reference_bit_for_bit():
+    for account, targets, _ in seeded_product_accounts(400, 26):
+        names, amps = scenario_module._minimal_cluster(account, targets)
+        ref_names, ref_amps = reference_minimal_cluster(account, targets)
+        assert names == ref_names
+        assert amps.tobytes() == ref_amps.tobytes()
+
+
+def test_measure_helpers_match_the_reference_bit_for_bit():
+    """A measure event's three helpers against their reference bodies, on a
+    seeded account (the measurer's collapse) and on its minimal cluster (a
+    bystander's statistics), in a builtin or Haar family on one factor."""
+    for account, targets, rng in seeded_product_accounts(400, 27):
+        names, amps = reference_minimal_cluster(account, targets)
+        cluster_dims = tuple(account.dims[account.position(name)] for name in names)
+        for state, dims in ((account.amps, account.dims), (amps, cluster_dims)):
+            pos = int(rng.integers(len(dims)))
+            basis = _seeded_basis(dims[pos], rng)
+            probs, tensor = _born_weights(state, dims, pos, basis)
+            ref_probs, ref_tensor = reference_born_weights(state, dims, pos, basis)
+            assert probs.tobytes() == ref_probs.tobytes()
+            assert tensor.tobytes() == ref_tensor.tobytes()
+            outcome = sample_index(probs, rng)
+            assert (_collapse(tensor, dims, pos, outcome, basis).tobytes()
+                    == reference_collapse(tensor, dims, pos, outcome, basis).tobytes())
+            pointer = int(rng.integers(len(dims)))
+            if pointer != pos:
+                assert np.float64(_completion(tensor, pos, pointer)).tobytes() == \
+                    np.float64(reference_completion(tensor, pos, pointer)).tobytes()
+
+
 def _exhaustive_cluster(account, targets):
     """Reference search: every subset containing the targets, by (size, positions)."""
     n = len(account.names)
@@ -464,7 +606,7 @@ def _exhaustive_cluster(account, targets):
                 continue
             factor = u[:, 0]
         names = tuple(account.names[i] for i in subset)
-        return names, scenario_module._canonical_phase(factor / np.linalg.norm(factor))
+        return names, reference_canonical_phase(factor / np.linalg.norm(factor))
     raise AssertionError("the full set always factors")
 
 
@@ -478,7 +620,15 @@ def product_accounts(draw):
     coarse = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _product_account(dims, label, coarse, targets, rng)
 
+
+def _product_account(dims, label, coarse, targets, rng):
+    """System i lies in true block label[i] and in the coarse block of its
+    true block's coarse[label] value; the state is a random product across
+    the true blocks.  Returns the account, the target names and the systems
+    that the targets' true blocks hold."""
+    n = len(dims)
     true_blocks = [[i for i in range(n) if label[i] == b] for b in sorted(set(label))]
     order = [i for block in true_blocks for i in block]
     amps = np.array([1.0], dtype=complex)
@@ -577,7 +727,7 @@ def test_cluster_search_cost_follows_the_entangled_blocks(monkeypatch):
     report = run(sc)
     entangled = sum(len(entry["entangled"]) for entry in report.entries)
     assert entangled == 75
-    assert len(calls) <= entangled
+    assert len(calls) == entangled
 
 
 def _run_against_the_oracle(sc):
