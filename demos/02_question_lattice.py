@@ -58,7 +58,7 @@ print(f"  the Hadamard family on a qubit generates {len(algebra)} questions "
 print("\n== asking: repeatable, exclusive, and never exhausted ==")
 state = basis_state(2, 0, relative_to="O")
 atoms = complete_questions(fam)
-answer, post = ask_sequence(state, atoms + atoms, seed=42, family=None)
+answer, post = ask_sequence(state, atoms + atoms, seed=42)
 print(f"  asking both atoms twice: bits {answer.bits} "
       f"(second round repeats the first)")
 yes = sum(ask_sequence(state, [atoms[0]], seed)[0].bits[0] for seed in range(10_000))

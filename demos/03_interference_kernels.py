@@ -20,8 +20,8 @@ from relaqm import (
     verify_double_stochastic,
 )
 
-comp = CompleteFamily.computational(2, "computational")
-had = CompleteFamily.hadamard("hadamard")
+comp = CompleteFamily.computational(2)
+had = CompleteFamily.hadamard()
 
 print("== the qubit kernel between the computational and Hadamard families ==")
 k = kernel_from_families(comp, had)

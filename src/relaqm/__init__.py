@@ -35,8 +35,7 @@ _EXPORTS = {
     "hilbert": (
         "ATOL", "OPT_ATOL", "RANK_TOL", "Operator", "StateVector", "apply",
         "basis_state", "born_probabilities", "conditional_state",
-        "haar_unitary", "identity", "projector_onto", "random_hermitian",
-        "random_state", "sample_outcome", "tensor",
+        "haar_unitary", "identity", "projector_onto", "tensor",
     ),
     "measurement": (
         "MeasurementSetup", "collapse_description", "completion_probability",
@@ -47,7 +46,7 @@ _EXPORTS = {
         "AnswerString", "CompleteFamily", "Question", "ask_sequence",
         "boolean_algebra", "complete_questions", "implies", "info_capacity",
         "join", "meet", "negate", "orthogonal", "orthomodular_check",
-        "redundant_flags", "same_question",
+        "same_question",
     ),
     "kernels": (
         "TransitionKernel", "UnistochasticDecision", "classical_composite_probability",

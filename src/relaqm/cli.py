@@ -14,7 +14,7 @@ over a seed stored in a scenario file.
 
 Each subcommand imports the layers it runs when it runs, so a cold
 ``kernel``, ``unistochastic`` or ``lattice-check`` never loads the scenario
-runner.
+runner, and ``lattice-check`` never loads the kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import ATOL, _refuse_too_large
-from .kernels import _search_amplitudes, decide_unistochastic, kernel_from_families, phase_fix
 
 __all__ = ["main"]
 
@@ -96,6 +95,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .kernels import kernel_from_families
     from .parsing import _parse_kernel_request, read_text
 
     out_lines = []
@@ -110,6 +110,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_unistochastic(args) -> int:
+    from .kernels import _search_amplitudes, decide_unistochastic, phase_fix
+
     try:
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.simplefilter("ignore", UserWarning)

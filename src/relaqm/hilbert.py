@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAPartition, TooLarge, ZeroBranch
+from .errors import DimensionMismatch, NotAPartition, PreconditionViolated, TooLarge, ZeroBranch
 
 __all__ = [
     "ATOL",
@@ -35,15 +35,12 @@ __all__ = [
     "tensor",
     "apply",
     "born_probabilities",
-    "sample_outcome",
     "sample_index",
     "conditional_state",
     "basis_state",
     "identity",
     "projector_onto",
     "haar_unitary",
-    "random_state",
-    "random_hermitian",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -184,10 +181,16 @@ class Operator:
 def tensor(a, b):
     """Kronecker product of two states or two operators.
 
-    ``dim_factors`` concatenate; for states the left operand's observer tag
-    is kept (tensoring only makes sense within one observer's description).
+    ``dim_factors`` concatenate.  Two states must be relative to the same
+    observer, whose tag the product keeps: tensoring only makes sense within
+    one observer's description, and two observers' descriptions joined would
+    be a state relative to nobody.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
+        if a.relative_to != b.relative_to:
+            raise PreconditionViolated(
+                f"cannot tensor a state relative to {a.relative_to!r} with one "
+                f"relative to {b.relative_to!r}")
         return StateVector(np.kron(a.amplitudes, b.amplitudes),
                            a.dim_factors + b.dim_factors, a.relative_to)
     if isinstance(a, Operator) and isinstance(b, Operator):
@@ -264,7 +267,10 @@ def _check_partition(partition: list[Operator] | tuple[Operator, ...], dim: int)
 
 
 def born_probabilities(s: StateVector, partition) -> np.ndarray:
-    """Born weights ``p_i = ||P_i s||^2`` for a complete orthogonal partition."""
+    """Born weights ``p_i = ||P_i s||^2`` for a complete orthogonal partition.
+
+    A dense primitive of the independent oracle in ``tests/oracle.py``; the
+    runner takes its weights from ``measurement._born_weights`` instead."""
     partition = list(partition)
     _check_partition(partition, s.dim)
     probs = np.array([float(np.linalg.norm(p.matrix @ s.amplitudes) ** 2)
@@ -279,20 +285,11 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
 
 
-def sample_outcome(probs, rng_seed: int) -> int:
-    """Sample an outcome index from a probability vector, reproducibly.
-
-    The seed is part of the call so runs are bit-for-bit repeatable given the
-    same seed and draw order.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if not abs(probs.sum() - 1.0) <= ATOL:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-    return sample_index(probs, np.random.default_rng(rng_seed))
-
-
 def conditional_state(s: StateVector, p: Operator) -> StateVector:
-    """Project onto a branch and renormalize, keeping the observer tag."""
+    """Project onto a branch and renormalize, keeping the observer tag.
+
+    A dense primitive of the independent oracle in ``tests/oracle.py``; the
+    runner collapses with ``measurement._collapse`` instead."""
     if p.dim != s.dim:
         raise DimensionMismatch(f"projector dim {p.dim} vs state dim {s.dim}")
     out = p.matrix @ s.amplitudes
@@ -314,7 +311,10 @@ def identity(dim: int) -> Operator:
 
 def projector_onto(columns: np.ndarray,
                    dim_factors: tuple[int, ...] | None = None) -> Operator:
-    """Projector ``B B†`` onto the span of orthonormal columns."""
+    """Projector ``B B†`` onto the span of orthonormal columns.
+
+    A dense primitive of the independent oracle in ``tests/oracle.py``, which
+    builds a family's projectors with it; the runner builds none."""
     cols = np.atleast_2d(np.asarray(columns, dtype=complex))
     if cols.shape[0] == 1 and cols.shape[1] > 1:
         cols = cols.T  # a single vector was passed
@@ -327,14 +327,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random unit vector (amplitudes only, untagged)."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2

@@ -72,7 +72,11 @@ class MeasurementSetup:
 
 def standard_setup(system_dim: int, pointer_dim: int | None = None,
                    system_basis: CompleteFamily | None = None) -> MeasurementSetup:
-    """Computational-basis setup with the pointer ready in |0>."""
+    """Computational-basis setup with the pointer ready in |0>.
+
+    ``system_basis`` replaces the computational basis.  It is a dense
+    primitive of the independent oracle in ``tests/oracle.py``, which reads
+    a completion in the scenario's declared family through it."""
     pointer_dim = pointer_dim or system_dim
     basis = system_basis or CompleteFamily.computational(system_dim)
     return MeasurementSetup(basis, basis_state(pointer_dim, 0, "setup"))

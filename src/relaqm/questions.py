@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidDimension,
     PreconditionViolated,
     TooLarge,
@@ -52,7 +53,6 @@ __all__ = [
     "complete_questions",
     "boolean_algebra",
     "ask_sequence",
-    "redundant_flags",
     "random_question",
 ]
 
@@ -252,10 +252,17 @@ class CompleteFamily:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    def _require_atom(self, i: int) -> None:
+        if not 0 <= i < self.dim:
+            raise IndexOutOfRange(
+                f"atom index {i} outside [0, {self.dim}) of family {self.label!r}")
+
     def column(self, i: int) -> np.ndarray:
+        self._require_atom(i)
         return self.basis[:, i]
 
     def atom(self, i: int) -> Question:
+        self._require_atom(i)
         return _computed(self.basis[:, i:i + 1])
 
     def answer_pattern(self, i: int) -> "AnswerString":
@@ -264,27 +271,23 @@ class CompleteFamily:
         For dimensions that are not powers of two, codes >= dim are
         unreachable; atoms are therefore primarily addressed by index.
         """
+        self._require_atom(i)
         n = info_capacity(self.dim)
         bits = tuple((i >> (n - 1 - b)) & 1 for b in range(n))
         return AnswerString(bits, self)
 
     @classmethod
-    def computational(cls, dim: int, label: str = "computational") -> "CompleteFamily":
-        return cls(np.eye(dim, dtype=complex), label)
+    def computational(cls, dim: int) -> "CompleteFamily":
+        return cls(np.eye(dim, dtype=complex), "computational")
 
     @classmethod
-    def hadamard(cls, label: str = "hadamard") -> "CompleteFamily":
-        return cls(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), label)
+    def hadamard(cls) -> "CompleteFamily":
+        return cls(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), "hadamard")
 
     @classmethod
-    def fourier(cls, dim: int, label: str = "fourier") -> "CompleteFamily":
+    def fourier(cls, dim: int) -> "CompleteFamily":
         k = np.arange(dim)
-        return cls(np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim), label)
-
-    @classmethod
-    def random(cls, dim: int, rng: np.random.Generator,
-               label: str = "random") -> "CompleteFamily":
-        return cls(haar_unitary(dim, rng), label)
+        return cls(np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim), "fourier")
 
     def __repr__(self):
         return f"CompleteFamily(label={self.label!r}, dim={self.dim})"
@@ -298,9 +301,9 @@ class AnswerString:
     family: CompleteFamily | None = None
 
     def __post_init__(self):
+        if any(b not in (0, 1) for b in self.bits):  # before int(), which reads 0.5 as 0
+            raise ValueError(f"answer bits must be 0 or 1, got {tuple(self.bits)!r}")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("answer bits must be 0 or 1")
         if self.family is not None and len(self.bits) > self.family.dim:
             raise ValueError(
                 f"{len(self.bits)} answers exceed the {self.family.dim} atoms "
@@ -328,22 +331,7 @@ def boolean_algebra(f: CompleteFamily) -> list[Question]:
     return out
 
 
-def _yes_probability(amps: np.ndarray, q: Question) -> float:
-    return min(float(np.linalg.norm(q.basis.conj().T @ amps) ** 2), 1.0)
-
-
-def _branch(amps: np.ndarray, q: Question, bit: int, zero_message: str) -> np.ndarray:
-    """Normalized projection of ``amps`` onto the answer ``bit`` to ``q``."""
-    inside = q.basis @ (q.basis.conj().T @ amps)
-    branch = inside if bit else amps - inside
-    weight = np.linalg.norm(branch)
-    if weight <= 1e-12:
-        raise ZeroBranch(zero_message)
-    return branch / weight
-
-
-def ask_sequence(state: StateVector, questions, seed: int,
-                 family: CompleteFamily | None = None):
+def ask_sequence(state: StateVector, questions, seed: int):
     """Ask a sequence of questions, projecting after each answer.
 
     Yes answers collapse onto the question's subspace, no answers onto its
@@ -357,28 +345,17 @@ def ask_sequence(state: StateVector, questions, seed: int,
         if q.ambient_dim != state.dim:
             raise DimensionMismatch(
                 f"question dim {q.ambient_dim} vs state dim {state.dim}")
-        p_yes = _yes_probability(amps, q)
+        coords = q.basis.conj().T @ amps
+        p_yes = min(float(np.linalg.norm(coords) ** 2), 1.0)
         bit = 1 if sample_index(np.array([1.0 - p_yes, p_yes]), rng) else 0
-        amps = _branch(amps, q, bit, "sampled a branch of zero weight")
+        inside = q.basis @ coords
+        branch = inside if bit else amps - inside
+        weight = np.linalg.norm(branch)
+        if weight <= 1e-12:
+            raise ZeroBranch("sampled a branch of zero weight")
+        amps = branch / weight
         bits.append(bit)
-    answer = AnswerString(tuple(bits), family)
-    return answer, StateVector(amps, state.dim_factors, state.relative_to)
-
-
-def redundant_flags(state: StateVector, questions, bits) -> list[bool]:
-    """Which answers in a realized string were already determined.
-
-    A bit is redundant iff, given the preceding answers, its question had
-    probability 0 or 1 -- checked by exact Born computation along the branch
-    the given bits select, never by sampling.
-    """
-    amps = state.amplitudes.copy()
-    flags = []
-    for q, bit in zip(questions, bits):
-        p_yes = _yes_probability(amps, q)
-        flags.append(p_yes < ATOL or p_yes > 1.0 - ATOL)
-        amps = _branch(amps, q, bit, f"given answers contradict the state (bit={bit})")
-    return flags
+    return AnswerString(tuple(bits)), StateVector(amps, state.dim_factors, state.relative_to)
 
 
 def random_question(dim: int, rank: int, rng: np.random.Generator) -> Question:

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from generators import random_hermitian, random_state
 
 from relaqm.dynamics import heisenberg_evolve, propagator, schrodinger_evolve
 from relaqm.hilbert import (
@@ -21,8 +22,6 @@ from relaqm.hilbert import (
     born_probabilities,
     haar_unitary,
     projector_onto,
-    random_hermitian,
-    random_state,
     tensor,
 )
 from relaqm.kernels import (
@@ -122,8 +121,8 @@ def test_criterion_04_kernel_constraints():
     rng = np.random.default_rng(2026)
     for trial in range(1000):
         dim = 2 + trial % 5
-        b = CompleteFamily.random(dim, rng, "b")
-        c = CompleteFamily.random(dim, rng, "c")
+        b = CompleteFamily(haar_unitary(dim, rng), "b")
+        c = CompleteFamily(haar_unitary(dim, rng), "c")
         kernel = kernel_from_families(b, c)
         assert verify_double_stochastic(kernel.p).max_violation < 1e-9
         reverse = kernel_from_families(c, b)
@@ -132,8 +131,8 @@ def test_criterion_04_kernel_constraints():
 
 @criterion(5, "interference gap: 1/2 for the Hadamard pair, 0 for permutations")
 def test_criterion_05_interference():
-    kernel = kernel_from_families(CompleteFamily.computational(2, "b"),
-                                  CompleteFamily.hadamard("c"))
+    kernel = kernel_from_families(CompleteFamily.computational(2),
+                                  CompleteFamily.hadamard())
     composite = composite_probability(kernel, 0, (0, 1))
     classical = classical_composite_probability(kernel, 0, (0, 1))
     assert abs(composite - 1.0) < 1e-12
@@ -157,8 +156,8 @@ def test_criterion_06_oracle_equivalence():
     rng = np.random.default_rng(6)
     for dim in (2, 3, 4):
         for _ in range(25):
-            b = CompleteFamily.random(dim, rng, "b")
-            c = CompleteFamily.random(dim, rng, "c")
+            b = CompleteFamily(haar_unitary(dim, rng), "b")
+            c = CompleteFamily(haar_unitary(dim, rng), "c")
             kernel = kernel_from_families(b, c)
             for i in range(dim):
                 b_i = b.basis[:, i]
@@ -205,7 +204,7 @@ def test_criterion_08_lattice_suite():
     assert not same_question(lhs, rhs)  # the lattice is not Boolean
 
     for dim in (2, 3, 4):
-        algebra = boolean_algebra(CompleteFamily.random(dim, rng, "c"))
+        algebra = boolean_algebra(CompleteFamily(haar_unitary(dim, rng), "c"))
         for a in algebra:
             for b in algebra:
                 for c in algebra:
@@ -216,7 +215,7 @@ def test_criterion_08_lattice_suite():
 @criterion(9, "limited information inside the algebra, fresh randomness outside it")
 def test_criterion_09_information_limits():
     rng = np.random.default_rng(9)
-    fam = CompleteFamily.random(4, rng, "c")
+    fam = CompleteFamily(haar_unitary(4, rng), "c")
     algebra = boolean_algebra(fam)
     start = StateVector(random_state(4, rng), (4,), "O")
     atoms = complete_questions(fam)

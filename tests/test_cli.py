@@ -154,7 +154,7 @@ def test_unistochastic_too_large_exits_2(tmp_path, capsys, monkeypatch):
     naming its size, and nothing on stdout.  The boundary itself is checked in
     tests/test_input_rules.py."""
     decided = []
-    monkeypatch.setattr(cli, "decide_unistochastic", lambda p, seed: decided.append(p))
+    monkeypatch.setattr(kernels, "decide_unistochastic", lambda p, seed: decided.append(p))
     uniform = tmp_path / "uniform.txt"
     uniform.write_text((" ".join([repr(1 / 69)] * 69) + "\n") * 69)
     assert main(["unistochastic", str(uniform)]) == 2
@@ -646,6 +646,15 @@ def test_importing_the_cli_skips_the_scenario_layers():
             f"sys.exit(' '.join(sorted({SCENARIO_LAYERS} & set(sys.modules))) or None)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_lattice_check_skips_the_kernels():
+    """`lattice-check` sweeps questions only: it never loads relaqm.kernels."""
+    code = ("import sys, relaqm.cli; code = relaqm.cli.main(['lattice-check', '2']); "
+            "sys.exit(code or ('relaqm.kernels' in sys.modules and 'kernels loaded'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "orthomodular" in result.stdout
 
 
 def test_a_kernel_request_skips_the_scenario_layers():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from generators import random_hermitian, random_state
 
 from relaqm.dynamics import heisenberg_evolve, propagator, schrodinger_evolve
 from relaqm.errors import DimensionMismatch, NotHermitian
@@ -10,8 +11,6 @@ from relaqm.hilbert import (
     PAULI_X,
     StateVector,
     basis_state,
-    random_hermitian,
-    random_state,
 )
 from relaqm.questions import (
     Question,

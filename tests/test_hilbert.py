@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from generators import random_state
 
-from relaqm.errors import DimensionMismatch, NotAPartition, ZeroBranch
+from relaqm.errors import DimensionMismatch, NotAPartition, PreconditionViolated, ZeroBranch
 from relaqm.hilbert import (
     Operator,
     PAULI_X,
@@ -22,8 +23,7 @@ from relaqm.hilbert import (
     identity,
     orthonormality_defect,
     projector_onto,
-    random_state,
-    sample_outcome,
+    sample_index,
     tensor,
 )
 
@@ -197,6 +197,14 @@ def test_tensor_operators_and_kind_mismatch():
         tensor(basis_state(2, 0, "O"), Operator(PAULI_X, (2,)))
 
 
+def test_tensor_refuses_states_relative_to_different_observers():
+    """Each state is one observer's description: joining O's and P's would
+    relabel P's as O's, so the product names both and is refused."""
+    with pytest.raises(PreconditionViolated, match="'O'.*'P'"):
+        tensor(StateVector([1, 0], (2,), "O"), StateVector([0, 1], (2,), "P"))
+    assert tensor(basis_state(2, 0, "P"), basis_state(2, 1, "P")).relative_to == "P"
+
+
 def test_tensor_associativity_up_to_index_flattening():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -281,28 +289,19 @@ def test_born_output_is_probability_vector():
         assert abs(probs.sum() - 1.0) < 1e-9
 
 
-def test_sample_outcome_certain_cases():
+def test_sample_index_certain_cases():
     for seed in range(25):
-        assert sample_outcome([1.0, 0.0], seed) == 0
-        assert sample_outcome([0.0, 1.0], seed) == 1
+        assert sample_index(np.array([1.0, 0.0]), np.random.default_rng(seed)) == 0
+        assert sample_index(np.array([0.0, 1.0]), np.random.default_rng(seed)) == 1
 
 
-def test_sample_outcome_deterministic_and_convergent():
-    draws = [sample_outcome([0.5, 0.5], seed) for seed in range(10_000)]
-    again = [sample_outcome([0.5, 0.5], seed) for seed in range(10_000)]
+def test_sample_index_deterministic_and_convergent():
+    half = np.array([0.5, 0.5])
+    draws = [sample_index(half, np.random.default_rng(seed)) for seed in range(10_000)]
+    again = [sample_index(half, np.random.default_rng(seed)) for seed in range(10_000)]
     assert draws == again
     freq = draws.count(0) / len(draws)
     assert 0.45 <= freq <= 0.55
-
-
-def test_sample_outcome_validates_sum():
-    with pytest.raises(ValueError, match="sum"):
-        sample_outcome([0.5, 0.4], 0)
-
-
-def test_sample_outcome_refuses_a_nan_probability():
-    with pytest.raises(ValueError, match="sum"):
-        sample_outcome([np.nan, 1.0], 0)
 
 
 def test_conditional_state_examples():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import relaqm
-from relaqm import cli, parsing
+from relaqm import cli, kernels, parsing
 from relaqm.cli import main
 from relaqm.errors import ValidationError
 from relaqm.kernels import UnistochasticDecision, verify_double_stochastic
@@ -239,7 +239,7 @@ def _kernel_dim(dim, tmp_path, monkeypatch):
 
 def _unistochastic(n, tmp_path, monkeypatch):
     """The uniform n x n matrix, the decision replaced so that it does not search."""
-    monkeypatch.setattr(cli, "decide_unistochastic", lambda p, seed: UnistochasticDecision(
+    monkeypatch.setattr(kernels, "decide_unistochastic", lambda p, seed: UnistochasticDecision(
         "inconclusive", residual=1.0, check=verify_double_stochastic(p)))
     matrix = tmp_path / "uniform.txt"
     matrix.write_text((" ".join([repr(1 / n)] * n) + "\n") * n)

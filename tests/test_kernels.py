@@ -77,15 +77,15 @@ def projective_sequence_oracle(b: CompleteFamily, c: CompleteFamily,
 
 
 def test_kernel_same_family_is_identity():
-    b = CompleteFamily.computational(3, "b")
+    b = CompleteFamily.computational(3)
     k = kernel_from_families(b, b)
     np.testing.assert_allclose(k.p, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(k.U, np.eye(3), atol=1e-12)
 
 
 def test_kernel_computational_vs_hadamard():
-    k = kernel_from_families(CompleteFamily.computational(2, "b"),
-                             CompleteFamily.hadamard("c"))
+    k = kernel_from_families(CompleteFamily.computational(2),
+                             CompleteFamily.hadamard())
     np.testing.assert_allclose(k.p, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
@@ -93,8 +93,8 @@ def test_kernel_reverse_is_transpose():
     rng = np.random.default_rng(1)
     for _ in range(50):
         dim = int(rng.integers(2, 7))
-        b = CompleteFamily.random(dim, rng, "b")
-        c = CompleteFamily.random(dim, rng, "c")
+        b = CompleteFamily(haar_unitary(dim, rng), "b")
+        c = CompleteFamily(haar_unitary(dim, rng), "c")
         forward = kernel_from_families(b, c)
         reverse = kernel_from_families(c, b)
         np.testing.assert_allclose(reverse.p, forward.p.T, atol=1e-9)
@@ -104,8 +104,8 @@ def test_kernels_are_doubly_stochastic():
     rng = np.random.default_rng(2)
     for _ in range(200):
         dim = int(rng.integers(2, 7))
-        k = kernel_from_families(CompleteFamily.random(dim, rng, "b"),
-                                 CompleteFamily.random(dim, rng, "c"))
+        k = kernel_from_families(CompleteFamily(haar_unitary(dim, rng), "b"),
+                                 CompleteFamily(haar_unitary(dim, rng), "c"))
         assert verify_double_stochastic(k.p).ok(1e-9)
 
 
@@ -120,8 +120,8 @@ def test_verify_double_stochastic_reports():
 
 
 def test_composite_probability_hadamard():
-    k = kernel_from_families(CompleteFamily.computational(2, "b"),
-                             CompleteFamily.hadamard("c"))
+    k = kernel_from_families(CompleteFamily.computational(2),
+                             CompleteFamily.hadamard())
     assert composite_probability(k, 0, (0, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -183,8 +183,8 @@ def test_composite_matches_projective_oracle_exhaustively():
     rng = np.random.default_rng(3)
     for dim in (2, 3, 4):
         for _ in range(20):
-            b = CompleteFamily.random(dim, rng, "b")
-            c = CompleteFamily.random(dim, rng, "c")
+            b = CompleteFamily(haar_unitary(dim, rng), "b")
+            c = CompleteFamily(haar_unitary(dim, rng), "c")
             kernel = kernel_from_families(b, c)
             for i in range(dim):
                 for j, k in itertools.combinations(range(dim), 2):
@@ -194,8 +194,8 @@ def test_composite_matches_projective_oracle_exhaustively():
 
 
 def test_classical_composite_and_gap():
-    k = kernel_from_families(CompleteFamily.computational(2, "b"),
-                             CompleteFamily.hadamard("c"))
+    k = kernel_from_families(CompleteFamily.computational(2),
+                             CompleteFamily.hadamard())
     classical = classical_composite_probability(k, 0, (0, 1))
     assert classical == pytest.approx(0.5, abs=1e-12)
     assert interference_gap(k, 0, (0, 1)) == pytest.approx(0.5, abs=1e-12)
@@ -226,8 +226,8 @@ def test_gap_nonnegative_for_same_phase_rows():
 
 def test_compose_inverse_pair_is_identity():
     rng = np.random.default_rng(5)
-    b = CompleteFamily.random(3, rng, "b")
-    c = CompleteFamily.random(3, rng, "c")
+    b = CompleteFamily(haar_unitary(3, rng), "b")
+    c = CompleteFamily(haar_unitary(3, rng), "c")
     left = kernel_from_families(c, b)
     right = kernel_from_families(b, c)
     out = compose(left, right)
@@ -236,8 +236,8 @@ def test_compose_inverse_pair_is_identity():
 
 
 def test_compose_differs_from_probability_product():
-    comp = CompleteFamily.computational(2, "a")
-    had = CompleteFamily.hadamard("b")
+    comp = CompleteFamily.computational(2)
+    had = CompleteFamily.hadamard()
     k1 = kernel_from_families(comp, had)
     k2 = kernel_from_families(had, comp)
     composed = compose(k1, k2)
@@ -249,7 +249,7 @@ def test_compose_differs_from_probability_product():
 
 def test_compose_associativity():
     rng = np.random.default_rng(6)
-    a, b, c, d = (CompleteFamily.random(3, rng, lbl) for lbl in "abcd")
+    a, b, c, d = (CompleteFamily(haar_unitary(3, rng), lbl) for lbl in "abcd")
     k1 = kernel_from_families(a, b)
     k2 = kernel_from_families(b, c)
     k3 = kernel_from_families(c, d)
@@ -260,7 +260,7 @@ def test_compose_associativity():
 
 def test_compose_checks_labels_and_amplitudes():
     rng = np.random.default_rng(7)
-    a, b, c = (CompleteFamily.random(2, rng, lbl) for lbl in "abc")
+    a, b, c = (CompleteFamily(haar_unitary(2, rng), lbl) for lbl in "abc")
     k1 = kernel_from_families(a, b)
     k3 = kernel_from_families(c, a)
     with pytest.raises(FamilyMismatch):
@@ -296,8 +296,8 @@ def test_kernel_keeps_the_check_its_constructor_made():
     """``check`` is p's StochasticReport field for field, and is never passed in."""
     p = np.array([[0.5 + 4e-10, 0.5], [0.5, 0.5 - 3e-10]])
     rng = np.random.default_rng(5)
-    built = kernel_from_families(CompleteFamily.random(4, rng, "b"),
-                                 CompleteFamily.random(4, rng, "c"))
+    built = kernel_from_families(CompleteFamily(haar_unitary(4, rng), "b"),
+                                 CompleteFamily(haar_unitary(4, rng), "c"))
     for kernel in (TransitionKernel(p, "b", "c"), built):
         assert dataclasses.astuple(kernel.check) == dataclasses.astuple(
             verify_double_stochastic(kernel.p))

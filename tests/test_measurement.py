@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import random_state
 
 from relaqm.errors import DimensionMismatch
 from relaqm.hilbert import (
@@ -14,7 +15,6 @@ from relaqm.hilbert import (
     basis_state,
     haar_unitary,
     projector_onto,
-    random_state,
     tensor,
 )
 from relaqm.measurement import (
@@ -140,7 +140,7 @@ def test_entangling_equals_premeasurement_on_random_states():
                           (setup.system_dim,), "P")
         via_map = entangling_description(setup, psi)
         via_unitary = apply(premeasurement_unitary(setup),
-                            tensor(psi, setup.pointer_ready))
+                            tensor(psi, basis_state(setup.pointer_dim, 0, "P")))
         np.testing.assert_allclose(via_map.amplitudes, via_unitary.amplitudes,
                                    atol=1e-9)
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import random_hermitian, random_state
 from oracle import run_oracle
 
 from relaqm.errors import DescriptionUnavailable
-from relaqm.hilbert import Operator, haar_unitary, random_hermitian, random_state
+from relaqm.hilbert import Operator, haar_unitary
 from relaqm.parsing import parse_families, resolve_family
 from relaqm.scenario import (EvolveEvent, MeasureEvent, QueryEvent, Scenario, SystemDecl,
                              run)

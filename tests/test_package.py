@@ -16,8 +16,7 @@ EXPORTS = {
     "hilbert": [
         "ATOL", "OPT_ATOL", "RANK_TOL", "Operator", "StateVector", "apply",
         "basis_state", "born_probabilities", "conditional_state", "haar_unitary",
-        "identity", "projector_onto", "random_hermitian", "random_state",
-        "sample_outcome", "tensor",
+        "identity", "projector_onto", "tensor",
     ],
     "measurement": [
         "MeasurementSetup", "collapse_description", "completion_probability",
@@ -27,8 +26,7 @@ EXPORTS = {
     "questions": [
         "AnswerString", "CompleteFamily", "Question", "ask_sequence",
         "boolean_algebra", "complete_questions", "implies", "info_capacity", "join",
-        "meet", "negate", "orthogonal", "orthomodular_check", "redundant_flags",
-        "same_question",
+        "meet", "negate", "orthogonal", "orthomodular_check", "same_question",
     ],
     "kernels": [
         "TransitionKernel", "UnistochasticDecision", "classical_composite_probability", "compose", "composite_probability",

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import random_state
 
 from relaqm.errors import (
+    IndexOutOfRange,
     InvalidDimension,
     PreconditionViolated,
     TooLarge,
-    ZeroBranch,
 )
-from relaqm.hilbert import ATOL, basis_state, haar_unitary, orthonormality_defect, random_state
+from relaqm.hilbert import ATOL, basis_state, haar_unitary, orthonormality_defect
 from relaqm.questions import (
     AnswerString,
     CompleteFamily,
@@ -27,7 +28,6 @@ from relaqm.questions import (
     orthogonal,
     orthomodular_check,
     random_question,
-    redundant_flags,
     same_question,
 )
 
@@ -307,7 +307,7 @@ def test_complete_questions_computational():
 
 def test_complete_questions_are_exclusive_and_exhaustive():
     rng = np.random.default_rng(6)
-    fam = CompleteFamily.random(4, rng)
+    fam = CompleteFamily(haar_unitary(4, rng), "random")
     atoms = complete_questions(fam)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -399,12 +399,11 @@ def test_asking_all_atoms_gives_exactly_one_yes():
     rng = np.random.default_rng(12)
     for seed in range(50):
         dim = int(rng.integers(2, 5))
-        fam = CompleteFamily.random(dim, rng, "f")
+        fam = CompleteFamily(haar_unitary(dim, rng), "f")
         from relaqm.hilbert import StateVector
         state = StateVector(random_state(dim, rng), (dim,), "O")
-        answer, _ = ask_sequence(state, complete_questions(fam), seed, family=fam)
+        answer, _ = ask_sequence(state, complete_questions(fam), seed)
         assert sum(answer.bits) == 1
-        assert answer.family is fam
 
 
 def test_answer_string_validation():
@@ -413,6 +412,21 @@ def test_answer_string_validation():
         AnswerString((0, 2), fam)
     with pytest.raises(ValueError, match="exceed"):
         AnswerString((0, 1, 0), fam)
+    # checked as given, before int() could read 0.5 as 0, 1.9 as 1 or "1" as 1
+    for bits in [(0.5, 1.9), ("1", 0), (0, 1.5)]:
+        with pytest.raises(ValueError, match="bits"):
+            AnswerString(bits)
+    assert AnswerString((True, 0.0)).bits == (1, 0)
+
+
+@pytest.mark.parametrize("method", ["atom", "column", "answer_pattern"])
+@pytest.mark.parametrize("index", [-1, 5, 7, 9, 100])
+def test_a_family_refuses_an_atom_index_outside_its_dimension(method, index):
+    """Not the rank-0 question, another atom's bits, the last column or
+    numpy's IndexError: an index outside [0, 5) names itself and the range."""
+    fam = CompleteFamily.computational(5)
+    with pytest.raises(IndexOutOfRange, match=rf"atom index {index} outside \[0, 5\)"):
+        getattr(fam, method)(index)
 
 
 def test_answer_patterns_encode_atom_indices():
@@ -423,29 +437,10 @@ def test_answer_patterns_encode_atom_indices():
     assert info_capacity(5) == 3
 
 
-def test_redundant_flags_detect_determined_bits():
-    fam = CompleteFamily.computational(2)
-    had = CompleteFamily.hadamard()
-    state = basis_state(2, 0, "O")
-    # first question undetermined, repeat of it determined, eigen-question determined
-    questions = [had.atom(0), had.atom(0), fam.atom(0)]
-    answer, _ = ask_sequence(state, questions, seed=3)
-    flags = redundant_flags(state, questions, answer.bits)
-    assert flags[0] is False
-    assert flags[1] is True
-
-
-def test_redundant_flags_reject_contradictory_bits():
-    fam = CompleteFamily.computational(2)
-    state = basis_state(2, 0, "O")
-    with pytest.raises(ZeroBranch):
-        redundant_flags(state, [fam.atom(0)], [0])
-
-
 def test_complete_ask_determines_the_family_algebra():
     """After all atoms are asked, the family's algebra holds no surprises."""
     rng = np.random.default_rng(44)
-    fam = CompleteFamily.random(4, rng, "c")
+    fam = CompleteFamily(haar_unitary(4, rng), "c")
     algebra = boolean_algebra(fam)
     from relaqm.hilbert import StateVector
     state = StateVector(random_state(4, rng), (4,), "O")
@@ -459,7 +454,7 @@ def test_complete_ask_determines_the_family_algebra():
 def test_fresh_question_outside_algebra_stays_random():
     """A question outside the algebra stays genuinely random."""
     rng = np.random.default_rng(45)
-    fam = CompleteFamily.random(4, rng, "c")
+    fam = CompleteFamily(haar_unitary(4, rng), "c")
     unbiased = Question.ray((fam.column(0) + fam.column(1)) * INV_SQRT2)
     from relaqm.hilbert import StateVector
     prepared = StateVector(fam.column(0), (4,), "O")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import random_hermitian, random_state
 
 from relaqm.errors import (
     DescriptionUnavailable,
@@ -17,8 +18,7 @@ from relaqm.errors import (
 )
 from relaqm import measurement as measurement_module
 from relaqm import scenario as scenario_module
-from relaqm.hilbert import (Operator, _apply_on_factors, haar_unitary, random_hermitian,
-                            random_state, sample_index)
+from relaqm.hilbert import Operator, _apply_on_factors, haar_unitary, sample_index
 from relaqm.measurement import (_born_weights, _collapse, _completion, correlation_operator,
                                 standard_setup)
 from relaqm.parsing import _parse_kernel_request
@@ -672,7 +672,7 @@ def completion_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     name = draw(st.sampled_from(["computational", "fourier", "haar"]
                                 + ["hadamard"] * (dims[s] == 2)))
-    family = (CompleteFamily.random(dims[s], rng) if name == "haar"
+    family = (CompleteFamily(haar_unitary(dims[s], rng), "random") if name == "haar"
               else scenario_module.resolve_family(name, dims[s], {}))
     size = math.prod(dims)
     psi = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -760,7 +760,7 @@ def _scenario(dims: dict, observers, preparations: dict, events, seed=0) -> Scen
 
 def _family(kind: str, dim: int, rng) -> CompleteFamily:
     if kind == "haar":
-        return CompleteFamily.random(dim, rng)
+        return CompleteFamily(haar_unitary(dim, rng), "random")
     return getattr(CompleteFamily, kind)(dim)
 
 
