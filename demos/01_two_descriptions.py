@@ -34,7 +34,7 @@ print(f"  joint state of S-O: {np.round(entangled.amplitudes, 3)}")
 print(f"  (0.6|1,O1> + 0.8|2,O2>: the pointer is correlated, no outcome chosen)")
 
 u = premeasurement_unitary(setup)
-via_unitary = np.kron(psi.amplitudes, setup.pointer_ready.amplitudes)
+via_unitary = np.kron(psi.amplitudes, setup.pointer_ready)
 print(f"  same thing via the interaction unitary: "
       f"{np.allclose(u.matrix @ via_unitary, entangled.amplitudes)}")
 

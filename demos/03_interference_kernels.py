@@ -37,7 +37,7 @@ print(f"  interference gap {composite - classical:+.6f}")
 
 print("\n== classical kernels carry no interference ==")
 perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-perm_kernel = TransitionKernel(np.abs(perm) ** 2, to_family="a", from_family="b", U=perm)
+perm_kernel = TransitionKernel(perm, to_family="a", from_family="b")
 gaps = [interference_gap(perm_kernel, i, (j, j2))
         for i in range(3) for j in range(3) for j2 in range(j + 1, 3)]
 print(f"  3-cycle permutation kernel: max |gap| over all triples = {max(map(abs, gaps))}")

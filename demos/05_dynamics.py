@@ -21,12 +21,12 @@ from relaqm.hilbert import PAULI_X
 h = Operator(PAULI_X, (2,))
 
 print("== the abelian group of propagators ==")
-u1 = propagator(h, 0.4).unitary.matrix
-u2 = propagator(h, 1.1).unitary.matrix
-u12 = propagator(h, 1.5).unitary.matrix
+u1 = propagator(h, 0.4).matrix
+u2 = propagator(h, 1.1).matrix
+u12 = propagator(h, 1.5).matrix
 print(f"  ||U(0.4) U(1.1) - U(1.5)|| = {np.max(np.abs(u1 @ u2 - u12)):.2e}")
 print(f"  ||U(t) U(-t) - 1||         = "
-      f"{np.max(np.abs(u1 @ propagator(h, -0.4).unitary.matrix - np.eye(2))):.2e}")
+      f"{np.max(np.abs(u1 @ propagator(h, -0.4).matrix - np.eye(2))):.2e}")
 
 print("\n== a half period of the Pauli-X Hamiltonian flips the qubit ==")
 prop = propagator(h, np.pi / 2)

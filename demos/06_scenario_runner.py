@@ -10,7 +10,7 @@ scenario runs from the command line as
 from relaqm import emit_report, fixture_path, load_scenario, run
 
 scenario = load_scenario(fixture_path("wigner_friend.yaml"))
-print(f"systems: {[(s.name, s.dim) for s in scenario.systems]}")
+print(f"systems: {list(scenario.dims.items())}")
 print(f"observers: {list(scenario.observers)}\n")
 
 report = run(scenario)

@@ -27,10 +27,10 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": (
         "DescriptionUnavailable", "DimensionMismatch", "FamilyMismatch",
-        "IndexOutOfRange", "InvalidDimension", "MissingUnitary",
-        "NormalizationError", "NotAPartition", "NotDoublyStochastic",
-        "NotHermitian", "ParseError", "PreconditionViolated", "RelaqmError",
-        "TooLarge", "ValidationError", "ZeroBranch",
+        "IndexOutOfRange", "InvalidDimension", "NormalizationError",
+        "NotAPartition", "NotDoublyStochastic", "NotHermitian", "ParseError",
+        "PreconditionViolated", "RelaqmError", "TooLarge", "ValidationError",
+        "ZeroBranch",
     ),
     "hilbert": (
         "ATOL", "OPT_ATOL", "RANK_TOL", "Operator", "StateVector", "apply",
@@ -55,9 +55,7 @@ _EXPORTS = {
         "triangle_criterion_3x3", "unistochastic_search",
         "verify_double_stochastic",
     ),
-    "dynamics": (
-        "Propagator", "heisenberg_evolve", "propagator", "schrodinger_evolve",
-    ),
+    "dynamics": ("heisenberg_evolve", "propagator", "schrodinger_evolve"),
     "scenario": (
         "Report", "Scenario", "emit_report", "fixture_path", "lint_report",
         "load_scenario", "parse_scenario", "run",

@@ -14,32 +14,18 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotHermitian, PreconditionViolated
 from .hilbert import ATOL, Operator, StateVector, apply
 from .questions import Question
 
-__all__ = ["Propagator", "propagator", "heisenberg_evolve", "schrodinger_evolve"]
+__all__ = ["propagator", "heisenberg_evolve", "schrodinger_evolve"]
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """A Hamiltonian, a duration, and the unitary exp(-i t H) they generate."""
-
-    hamiltonian: Operator
-    t: float
-    unitary: Operator
-
-    @property
-    def dim(self) -> int:
-        return self.unitary.dim
-
-
-def propagator(h: Operator, t: float) -> Propagator:
-    """Build exp(-i t H) from a hermitian H via eigendecomposition."""
+def propagator(h: Operator, t: float) -> Operator:
+    """The unitary exp(-i t H) of a hermitian H, built via eigendecomposition
+    and verified unitary."""
     if not h.is_hermitian:
         raise NotHermitian("propagator needs a hermitian Hamiltonian")
     w, v = np.linalg.eigh(h.matrix)
@@ -47,28 +33,32 @@ def propagator(h: Operator, t: float) -> Propagator:
     op = Operator(u, h.dim_factors)
     if not op.is_unitary:
         raise ValueError(f"propagator drifted from unitarity beyond {ATOL}")
-    return Propagator(h, float(t), op)
+    return op
 
 
-def heisenberg_evolve(q: Question, prop: Propagator) -> Question:
-    """Conjugate a question: its subspace basis is mapped by the propagator.
+def _require_propagator(u: Operator, dim: int, what: str) -> None:
+    if dim != u.dim:
+        raise DimensionMismatch(f"{what} dim {dim} vs propagator dim {u.dim}")
+    if not u.is_unitary:
+        raise PreconditionViolated("evolution needs a unitary propagator")
+
+
+def heisenberg_evolve(q: Question, u: Operator) -> Question:
+    """Conjugate a question: its subspace basis is mapped by the unitary u.
 
     Rank is preserved, and so is every lattice relation among a family of
     questions -- evolution is an isomorphism of the question lattice.
     """
-    if q.ambient_dim != prop.dim:
-        raise DimensionMismatch(
-            f"question dim {q.ambient_dim} vs propagator dim {prop.dim}")
-    return Question(prop.unitary.matrix @ q.basis)
+    _require_propagator(u, q.ambient_dim, "question")
+    return Question(u.matrix @ q.basis)
 
 
-def schrodinger_evolve(s: StateVector, prop: Propagator) -> StateVector:
+def schrodinger_evolve(s: StateVector, u: Operator) -> StateVector:
     """Evolve the state instead of the question.
 
     Dual to :func:`heisenberg_evolve`: the Born probability of an evolved
     question on a fixed state equals that of the fixed question on the
     inverse-evolved state.
     """
-    if s.dim != prop.dim:
-        raise DimensionMismatch(f"state dim {s.dim} vs propagator dim {prop.dim}")
-    return apply(prop.unitary, s)
+    _require_propagator(u, s.dim, "state")
+    return apply(u, s)

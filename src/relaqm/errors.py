@@ -10,7 +10,6 @@ __all__ = [
     "TooLarge",
     "IndexOutOfRange",
     "FamilyMismatch",
-    "MissingUnitary",
     "NotDoublyStochastic",
     "NotHermitian",
     "ParseError",
@@ -46,10 +45,6 @@ class IndexOutOfRange(RelaqmError):
 
 class FamilyMismatch(RelaqmError):
     """Kernel composition with no shared middle family."""
-
-
-class MissingUnitary(RelaqmError):
-    """Operation needs transition amplitudes but the kernel carries probabilities only."""
 
 
 class NotDoublyStochastic(RelaqmError):

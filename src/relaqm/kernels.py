@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     FamilyMismatch,
     IndexOutOfRange,
-    MissingUnitary,
     NotDoublyStochastic,
     PreconditionViolated,
 )
@@ -58,46 +57,42 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Outcome probabilities p[i, j] of to-family atom i given from-family atom j.
+    """Outcome probabilities p[i, j] = |U[i, j]|^2 of to-family atom i given
+    from-family atom j, built from the unitary U that realizes them.
 
-    The unitary realizing p = |U|^2 is cached alongside; operations that need
-    phases refuse kernels without one instead of re-deriving phases silently.
-    ``check`` is p's :class:`StochasticReport`, computed by the constructor,
-    never passed in.
+    Operations that need phases read U; ``p`` and ``check``, p's
+    :class:`StochasticReport`, are computed by the constructor, never passed
+    in.
     """
 
-    p: np.ndarray
+    U: np.ndarray
     to_family: str
     from_family: str
-    U: np.ndarray | None = None
+    p: np.ndarray = field(init=False)
     check: StochasticReport = field(init=False)
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {p.shape}")
+        u = np.array(self.U, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError(f"kernel matrix must be square, got {u.shape}")
+        p = np.abs(u) ** 2
         check = verify_double_stochastic(p)
         if not check.ok(ATOL):
             raise ValueError(f"kernel is not doubly stochastic: {check}")
+        if not orthonormality_defect(u) <= ATOL:
+            raise ValueError("kernel unitary is not unitary")
+        u.setflags(write=False)
         p.setflags(write=False)
+        object.__setattr__(self, "U", u)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "check", check)
-        if self.U is not None:
-            u = np.array(self.U, dtype=complex)
-            if not orthonormality_defect(u) <= ATOL:
-                raise ValueError("kernel unitary is not unitary")
-            if not np.max(np.abs(np.abs(u) ** 2 - p)) <= ATOL:
-                raise ValueError("kernel unitary does not reproduce p = |U|^2")
-            u.setflags(write=False)
-            object.__setattr__(self, "U", u)
 
     @property
     def dim(self) -> int:
         return self.p.shape[0]
 
     def __repr__(self):
-        return (f"TransitionKernel({self.to_family!r} <- {self.from_family!r}, "
-                f"dim={self.dim}, has_unitary={self.U is not None})")
+        return f"TransitionKernel({self.to_family!r} <- {self.from_family!r}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,10 @@ def kernel_from_families(b: CompleteFamily, c: CompleteFamily) -> TransitionKern
 
 
 def _kernel_of(u: np.ndarray, to_family: str, from_family: str) -> TransitionKernel:
-    """The kernel p = |U|^2 carrying U; a U that fails the kernel's own check
-    is a :class:`PreconditionViolated` naming the pair and the check."""
+    """The kernel of U; a U that fails the kernel's own check is a
+    :class:`PreconditionViolated` naming the pair and the check."""
     try:
-        return TransitionKernel(np.abs(u) ** 2, to_family=to_family,
-                                from_family=from_family, U=u)
+        return TransitionKernel(u, to_family, from_family)
     except ValueError as exc:
         raise PreconditionViolated(f"{to_family} <- {from_family}: {exc}") from exc
 
@@ -175,8 +169,8 @@ def composite_probability(kernel: TransitionKernel, i: int, jk: tuple[int, int])
     forward amplitude U[i, m] times the reverse amplitude (the conjugate,
     since the reverse kernel carries U†), that is p[i, m], and the legs
     through j and k add before squaring: (p[i, j] + p[i, k])^2, which needs
-    only the kernel's p, so a kernel without U answers it too.  Equals the
-    projective-sequence value ``|| P_i (P_j + P_k) |b_i> ||^2``.
+    only the kernel's p.  Equals the projective-sequence value
+    ``|| P_i (P_j + P_k) |b_i> ||^2``.
     """
     pj, pk = _row_pair(kernel, i, jk)
     return float((pj + pk) ** 2)
@@ -209,8 +203,6 @@ def compose(k1: TransitionKernel, k2: TransitionKernel) -> TransitionKernel:
     passes its check within ATOL, but their product can miss it; that is a
     :class:`PreconditionViolated`, as in :func:`kernel_from_families`.
     """
-    if k1.U is None or k2.U is None:
-        raise MissingUnitary("composition needs both kernels to carry unitaries")
     if k1.from_family != k2.to_family:
         raise FamilyMismatch(
             f"no shared middle family: {k1.from_family!r} vs {k2.to_family!r}")

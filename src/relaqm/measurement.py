@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import (Operator, StateVector, _apply_on_factors, _norm, basis_state,
-                      sample_index)
+from .hilbert import (ATOL, Operator, StateVector, _apply_on_factors, _as_complex_vector,
+                      _norm, sample_index)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -44,15 +44,22 @@ class MeasurementSetup:
     """System eigenbasis plus the pointer's pre-measurement state.
 
     Outcome i is recorded as the pointer's i-th computational basis state
-    |i> ("the hand points at mark i"); ``pointer_ready`` is the state the
-    pointer starts in.  There must be a mark per system basis vector, so the
-    pointer space can be larger than the system space but not smaller.
+    |i> ("the hand points at mark i"); ``pointer_ready`` holds the amplitudes
+    the pointer starts with, a read-only unit vector.  There must be a mark
+    per system basis vector, so the pointer space can be larger than the
+    system space but not smaller.
     """
 
     system_basis: CompleteFamily
-    pointer_ready: StateVector
+    pointer_ready: np.ndarray
 
     def __post_init__(self):
+        ready = _as_complex_vector(self.pointer_ready)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
+            norm = float(np.linalg.norm(ready))
+        if not abs(norm - 1.0) <= ATOL:
+            raise ValueError(f"pointer ready norm {norm!r} differs from 1 by more than {ATOL}")
+        object.__setattr__(self, "pointer_ready", ready)
         if self.pointer_dim < self.system_dim:
             raise ValueError(
                 f"pointer dim {self.pointer_dim} smaller than system dim {self.system_dim}")
@@ -63,7 +70,7 @@ class MeasurementSetup:
 
     @property
     def pointer_dim(self) -> int:
-        return self.pointer_ready.dim
+        return self.pointer_ready.size
 
     @property
     def total_dim(self) -> int:
@@ -74,12 +81,18 @@ def standard_setup(system_dim: int, pointer_dim: int | None = None,
                    system_basis: CompleteFamily | None = None) -> MeasurementSetup:
     """Computational-basis setup with the pointer ready in |0>.
 
-    ``system_basis`` replaces the computational basis.  It is a dense
-    primitive of the independent oracle in ``tests/oracle.py``, which reads
-    a completion in the scenario's declared family through it."""
+    ``system_basis`` replaces the computational basis, and must have
+    ``system_dim``.  It is a dense primitive of the independent oracle in
+    ``tests/oracle.py``, which reads a completion in the scenario's declared
+    family through it."""
     pointer_dim = pointer_dim or system_dim
     basis = system_basis or CompleteFamily.computational(system_dim)
-    return MeasurementSetup(basis, basis_state(pointer_dim, 0, "setup"))
+    if basis.dim != system_dim:
+        raise DimensionMismatch(
+            f"system_basis has dim {basis.dim} but system_dim is {system_dim}")
+    ready = np.zeros(pointer_dim, dtype=complex)
+    ready[0] = 1.0
+    return MeasurementSetup(basis, ready)
 
 
 def _born_weights(amps: np.ndarray, dims: tuple[int, ...], pos: int,
@@ -187,7 +200,7 @@ def premeasurement_unitary(setup: MeasurementSetup) -> Operator:
     the older one, and it is rebuilt on its next use.
     """
     return _premeasurement(setup.system_basis.basis.tobytes(),
-                           setup.pointer_ready.amplitudes.tobytes())
+                           setup.pointer_ready.tobytes())
 
 
 # The largest d_s·d_o a scenario may measure on.  A premeasurement is a dense

@@ -23,6 +23,7 @@ basis a caller passes to ``Question`` is checked.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,8 @@ __all__ = [
 ]
 
 
-def _orthonormalize(columns: np.ndarray, dim: int) -> np.ndarray:
+def _orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span, rank by SV threshold."""
-    if columns.size == 0:
-        return np.zeros((dim, 0), dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL))
     return u[:, :rank]
@@ -116,16 +115,6 @@ class Question:
             raise ValueError(f"cannot build a ray question from a vector of norm {n}")
         return cls((v / n)[:, None])
 
-    @classmethod
-    def from_span(cls, vectors) -> "Question":
-        """Question spanned by arbitrary (possibly dependent) vectors."""
-        arr = np.asarray(vectors, dtype=complex)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if not np.isfinite(arr).all():  # their SVD would fail or read rank 0
-            raise ValueError("cannot span a question with a non-finite vector")
-        return cls(_orthonormalize(arr, arr.shape[0]))
-
     def __repr__(self):
         return f"Question(rank={self.rank}, ambient_dim={self.ambient_dim})"
 
@@ -179,7 +168,7 @@ def join(q1: Question, q2: Question) -> Question:
         return q1
     if q2.is_always or q1.is_never:
         return q2
-    return _computed(_orthonormalize(np.hstack([q1.basis, q2.basis]), q1.ambient_dim))
+    return _computed(_orthonormalize(np.hstack([q1.basis, q2.basis])))
 
 
 def meet(q1: Question, q2: Question) -> Question:
@@ -252,29 +241,23 @@ class CompleteFamily:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def _require_atom(self, i: int) -> None:
-        if not 0 <= i < self.dim:
+    def _atom_index(self, i) -> int:
+        """i read by ``operator.index``, if it is an atom's index in [0, dim)."""
+        try:
+            index = operator.index(i)
+        except TypeError:
+            index = -1
+        if not 0 <= index < self.dim:
             raise IndexOutOfRange(
                 f"atom index {i} outside [0, {self.dim}) of family {self.label!r}")
+        return index
 
     def column(self, i: int) -> np.ndarray:
-        self._require_atom(i)
-        return self.basis[:, i]
+        return self.basis[:, self._atom_index(i)]
 
     def atom(self, i: int) -> Question:
-        self._require_atom(i)
+        i = self._atom_index(i)
         return _computed(self.basis[:, i:i + 1])
-
-    def answer_pattern(self, i: int) -> "AnswerString":
-        """Binary encoding of atom index i as an N-bit answer string.
-
-        For dimensions that are not powers of two, codes >= dim are
-        unreachable; atoms are therefore primarily addressed by index.
-        """
-        self._require_atom(i)
-        n = info_capacity(self.dim)
-        bits = tuple((i >> (n - 1 - b)) & 1 for b in range(n))
-        return AnswerString(bits, self)
 
     @classmethod
     def computational(cls, dim: int) -> "CompleteFamily":
@@ -295,19 +278,14 @@ class CompleteFamily:
 
 @dataclass(frozen=True)
 class AnswerString:
-    """Ordered yes/no answers, optionally attributed to a complete family."""
+    """Ordered yes/no answers."""
 
     bits: tuple[int, ...]
-    family: CompleteFamily | None = None
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):  # before int(), which reads 0.5 as 0
             raise ValueError(f"answer bits must be 0 or 1, got {tuple(self.bits)!r}")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if self.family is not None and len(self.bits) > self.family.dim:
-            raise ValueError(
-                f"{len(self.bits)} answers exceed the {self.family.dim} atoms "
-                f"of family {self.family.label!r}")
 
 
 def complete_questions(f: CompleteFamily) -> list[Question]:

@@ -41,8 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .dynamics import propagator
-from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, StateVector,
-                      _apply_on_factors, _norm, _refuse_too_large, sample_index)
+from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, _apply_on_factors,
+                      _norm, _refuse_too_large, sample_index)
 from .kernels import (
     TransitionKernel,
     classical_composite_probability,
@@ -57,7 +57,6 @@ from .questions import CompleteFamily
 
 __all__ = [
     "Scenario",
-    "SystemDecl",
     "MeasureEvent",
     "EvolveEvent",
     "QueryEvent",
@@ -78,12 +77,6 @@ _BUILTIN_HAMILTONIANS = {
     "pauli_y": PAULI_Y,
     "pauli_z": PAULI_Z,
 }
-
-
-@dataclass(frozen=True)
-class SystemDecl:
-    name: str
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ class QueryEvent:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    systems: tuple[SystemDecl, ...]
+    dims: dict[str, int]
     observers: tuple[str, ...]
     preparations: dict[str, np.ndarray]
     events: tuple
@@ -312,7 +305,6 @@ def parse_scenario(text: str) -> Scenario:
     raw_systems = _require(doc, "systems", "scenario")
     if not isinstance(raw_systems, list) or not raw_systems:
         raise ParseError("systems must be a non-empty list")
-    systems = []
     dims: dict[str, int] = {}
     for i, entry in enumerate(raw_systems):
         sname = _name(_require(entry, "name", f"systems[{i}]"), f"systems[{i}]")
@@ -321,7 +313,6 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(f"systems[{i}]: dim must be a positive integer")
         if sname in dims:
             raise ValidationError("DuplicateSystem", f"system {sname!r} declared twice")
-        systems.append(SystemDecl(sname, sdim))
         dims[sname] = sdim
 
     raw_observers = _require(doc, "observers", "scenario")
@@ -391,7 +382,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(f"events[{idx}]: unknown event kind {key!r}")
 
     name = _name(_optional(doc, "name", "scenario"), "name")
-    return Scenario(name=name, systems=tuple(systems), observers=observers,
+    return Scenario(name=name, dims=dims, observers=observers,
                     preparations=preparations, events=tuple(events), seed=seed)
 
 
@@ -509,7 +500,7 @@ def _require_active(account: _Account, context: str) -> None:
 
 
 def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
-                 report: Report, dim_of: dict[str, int]) -> None:
+                 report: Report) -> None:
     measurer = accounts[ev.observer]
     _require_active(measurer, f"event {idx}: {ev.observer} measuring {ev.target}")
 
@@ -538,8 +529,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
     # entangling description, relative to every non-participating observer;
     # the measurer's prepared state is the pointer's ready state
-    ready = sc.preparations[ev.observer]
-    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
+    setup = MeasurementSetup(ev.family, sc.preparations[ev.observer])
     u_pre = premeasurement_unitary(setup).matrix
     for obs in sc.observers:
         if obs in (ev.observer, ev.target):
@@ -553,7 +543,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
             account, (ev.target, ev.observer))
         # the pair's statistics are its cluster's, which factors out of the account
         target, pointer = cluster_names.index(ev.target), cluster_names.index(ev.observer)
-        cluster_dims = tuple([dim_of[name] for name in cluster_names])
+        cluster_dims = tuple([sc.dims[name] for name in cluster_names])
         q_marginal, tensor = _born_weights(cluster_amps, cluster_dims, target, basis)
         entry["entangled"].append({
             "relative_to": obs,
@@ -573,7 +563,7 @@ def _run_measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng,
 
 def _run_evolve(sc: Scenario, ev: EvolveEvent, idx: int, accounts,
                 report: Report) -> None:
-    u = propagator(ev.hamiltonian, ev.t).unitary.matrix
+    u = propagator(ev.hamiltonian, ev.t).matrix
     for obs in sc.observers:
         account = accounts[obs]
         if account.broken is not None or ev.target == obs:
@@ -681,11 +671,10 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
     rng = np.random.default_rng(effective_seed)
     report = Report(scenario=sc.name, seed=effective_seed)
 
-    dim_of = {s.name: s.dim for s in sc.systems}
     accounts: dict[str, _Account] = {}
     for obs in sc.observers:
-        names = tuple(s.name for s in sc.systems if s.name != obs)
-        dims = tuple(s.dim for s in sc.systems if s.name != obs)
+        names = tuple(n for n in sc.dims if n != obs)
+        dims = tuple(sc.dims[n] for n in names)
         amps = np.array([1.0], dtype=complex)
         for n in names:  # the products np.kron forms, without its reshapes
             amps = np.multiply.outer(amps, sc.preparations[n]).ravel()
@@ -696,7 +685,7 @@ def run(sc: Scenario, seed: int | None = None) -> Report:
     kernels: dict = {}
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
-            _run_measure(sc, ev, idx, accounts, rng, report, dim_of)
+            _run_measure(sc, ev, idx, accounts, rng, report)
         elif isinstance(ev, EvolveEvent):
             _run_evolve(sc, ev, idx, accounts, report)
         elif isinstance(ev, QueryEvent):

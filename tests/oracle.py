@@ -104,13 +104,12 @@ def run_oracle(sc: Scenario) -> tuple[list[dict], int | None]:
     rng = np.random.default_rng(sc.seed)
     accounts = {}
     for obs in sc.observers:
-        systems = [s for s in sc.systems if s.name != obs]
-        states = [StateVector(sc.preparations[s.name], (s.dim,), obs) for s in systems]
+        names = [n for n in sc.dims if n != obs]
+        states = [StateVector(sc.preparations[n], (sc.dims[n],), obs) for n in names]
         state = states[0]
         for other in states[1:]:
             state = tensor(state, other)
-        accounts[obs] = Account(tuple(s.name for s in systems),
-                                tuple(s.dim for s in systems), state)
+        accounts[obs] = Account(tuple(names), tuple(sc.dims[n] for n in names), state)
     entries: list[dict] = []
     for idx, ev in enumerate(sc.events):
         if isinstance(ev, MeasureEvent):
@@ -124,7 +123,7 @@ def run_oracle(sc: Scenario) -> tuple[list[dict], int | None]:
         if isinstance(ev, MeasureEvent):
             entries.append(_measure(sc, ev, idx, accounts, rng))
         elif isinstance(ev, EvolveEvent):
-            u = propagator(ev.hamiltonian, ev.t).unitary
+            u = propagator(ev.hamiltonian, ev.t)
             for obs, account in accounts.items():
                 if not account.broken and obs != ev.target:
                     account.state = apply(embed(u, account.dims, account.positions(ev.target)),
@@ -150,8 +149,7 @@ def _measure(sc: Scenario, ev: MeasureEvent, idx: int, accounts, rng) -> dict:
                      "post_state": payload(basis[:, outcome], [ev.target], ev.observer)},
         "entangled": [],
     }
-    ready = sc.preparations[ev.observer]
-    setup = MeasurementSetup(ev.family, StateVector(ready, (ready.size,), ev.observer))
+    setup = MeasurementSetup(ev.family, sc.preparations[ev.observer])
     for obs, account in accounts.items():
         if obs in (ev.observer, ev.target) or account.broken:
             continue

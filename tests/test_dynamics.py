@@ -5,7 +5,7 @@ import pytest
 from generators import random_hermitian, random_state
 
 from relaqm.dynamics import heisenberg_evolve, propagator, schrodinger_evolve
-from relaqm.errors import DimensionMismatch, NotHermitian
+from relaqm.errors import DimensionMismatch, NotHermitian, PreconditionViolated
 from relaqm.hilbert import (
     Operator,
     PAULI_X,
@@ -30,14 +30,14 @@ def hermitian_op(dim, rng):
 def test_zero_hamiltonian_gives_identity():
     h = Operator(np.zeros((3, 3)), (3,))
     for t in (0.0, 0.5, 10.0):
-        np.testing.assert_allclose(propagator(h, t).unitary.matrix, np.eye(3),
+        np.testing.assert_allclose(propagator(h, t).matrix, np.eye(3),
                                    atol=1e-12)
 
 
 def test_diagonal_hamiltonian_phases():
     omega = 2.0
     h = Operator(np.diag([0.0, omega]), (2,))
-    u = propagator(h, np.pi / omega).unitary.matrix
+    u = propagator(h, np.pi / omega).matrix
     np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
 
@@ -52,19 +52,19 @@ def test_group_law():
         dim = int(rng.integers(2, 7))
         h = hermitian_op(dim, rng)
         t1, t2 = rng.uniform(-3, 3, size=2)
-        u1 = propagator(h, t1).unitary.matrix
-        u2 = propagator(h, t2).unitary.matrix
-        u12 = propagator(h, t1 + t2).unitary.matrix
+        u1 = propagator(h, t1).matrix
+        u2 = propagator(h, t2).matrix
+        u12 = propagator(h, t1 + t2).matrix
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-9
-        inverse = propagator(h, -t1).unitary.matrix
+        inverse = propagator(h, -t1).matrix
         assert np.max(np.abs(u1 @ inverse - np.eye(dim))) < 1e-9
 
 
 def test_group_is_abelian():
     rng = np.random.default_rng(2)
     h = hermitian_op(4, rng)
-    u1 = propagator(h, 0.7).unitary.matrix
-    u2 = propagator(h, -1.3).unitary.matrix
+    u1 = propagator(h, 0.7).matrix
+    u2 = propagator(h, -1.3).matrix
     np.testing.assert_allclose(u1 @ u2, u2 @ u1, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_spectrum_preserved_under_conjugation():
         dim = int(rng.integers(2, 7))
         prop = propagator(hermitian_op(dim, rng), float(rng.uniform(-2, 2)))
         a = random_hermitian(dim, rng)
-        conjugated = prop.unitary.matrix @ a @ prop.unitary.matrix.conj().T
+        conjugated = prop.matrix @ a @ prop.matrix.conj().T
         np.testing.assert_allclose(np.linalg.eigvalsh(conjugated),
                                    np.linalg.eigvalsh(a), atol=1e-9)
 
@@ -169,3 +169,12 @@ def test_dimension_checks():
         heisenberg_evolve(Question.always(2), prop)
     with pytest.raises(DimensionMismatch):
         schrodinger_evolve(basis_state(2, 0, "O"), prop)
+
+
+def test_evolution_refuses_a_non_unitary_operator():
+    """2 I is no propagator: evolved by it, a state would have norm 2."""
+    doubled = Operator(2 * np.eye(2), (2,))
+    with pytest.raises(PreconditionViolated, match="unitary"):
+        schrodinger_evolve(StateVector([1, 0], (2,), "O"), doubled)
+    with pytest.raises(PreconditionViolated, match="unitary"):
+        heisenberg_evolve(Question.always(2), doubled)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from relaqm.errors import (
     FamilyMismatch,
     IndexOutOfRange,
-    MissingUnitary,
     NotDoublyStochastic,
     PreconditionViolated,
 )
@@ -149,27 +148,31 @@ def test_composite_questions_refuse_a_raw_matrix(question):
 
 
 def test_composite_probability_needs_only_p():
-    """The loop i -> m -> i has amplitude U[i, m] conj(U[i, m]) = p[i, m], so a
-    kernel without U answers the composite question: (p[i, j] + p[i, k])^2."""
+    """The loop i -> m -> i has amplitude U[i, m] conj(U[i, m]) = p[i, m], so
+    the composite question reads only the kernel's p: (p[i, j] + p[i, k])^2."""
     k = TransitionKernel(np.eye(2), to_family="b", from_family="c")
     assert composite_probability(k, 0, (0, 1)) == 1.0
     assert classical_composite_probability(k, 0, (0, 1)) == 1.0
-    p = np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
-    bare = TransitionKernel(p, to_family="b", from_family="c")
-    assert composite_probability(bare, 0, (1, 2)) == (0.3 + 0.5) ** 2
-    assert classical_composite_probability(bare, 0, (1, 2)) == 0.3 ** 2 + 0.5 ** 2
-    assert interference_gap(bare, 0, (1, 2)) == pytest.approx(2 * 0.3 * 0.5, abs=1e-15)
+    rng = np.random.default_rng(41)
+    kernel = TransitionKernel(haar_unitary(3, rng), to_family="b", from_family="c")
+    pj, pk = kernel.p[0, 1], kernel.p[0, 2]
+    assert composite_probability(kernel, 0, (1, 2)) == (pj + pk) ** 2
+    assert classical_composite_probability(kernel, 0, (1, 2)) == pj ** 2 + pk ** 2
+    assert interference_gap(kernel, 0, (1, 2)) == pytest.approx(2 * pj * pk, abs=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_composite_questions_agree_on_kernel_bare_kernel_and_unitary(dim):
-    """Haar U: the full kernel and the same kernel without U give one
-    composite value, and the gap is 2 p[i, j] p[i, k]."""
+    """Haar U: the kernel of U and that of U with its columns rephased by
+    powers of i (the same p to the bit, other phases) give one composite
+    value, and the gap is 2 p[i, j] p[i, k]."""
     rng = np.random.default_rng(40 + dim)
     for _ in range(10):
         u = haar_unitary(dim, rng)
-        full = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
-        bare = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c")
+        full = TransitionKernel(u, to_family="b", from_family="c")
+        bare = TransitionKernel(u * np.array([1, 1j, -1, -1j, 1])[:dim],
+                                to_family="b", from_family="c")
+        assert bare.p.tobytes() == full.p.tobytes()
         for i in range(dim):
             for j, k in itertools.combinations(range(dim), 2):
                 values = [composite_probability(x, i, (j, k)) for x in (full, bare)]
@@ -208,7 +211,7 @@ def test_gap_vanishes_for_permutation_kernels():
         u = np.zeros((3, 3), dtype=complex)
         for row, col in enumerate(perm):
             u[row, col] = 1.0
-        kernel = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
+        kernel = TransitionKernel(u, to_family="b", from_family="c")
         for i in range(3):
             for j, k in itertools.combinations(range(3), 2):
                 assert interference_gap(kernel, i, (j, k)) == 0.0
@@ -218,7 +221,7 @@ def test_gap_nonnegative_for_same_phase_rows():
     rng = np.random.default_rng(4)
     for _ in range(50):
         u = haar_unitary(3, rng)
-        kernel = TransitionKernel(np.abs(u) ** 2, to_family="b", from_family="c", U=u)
+        kernel = TransitionKernel(u, to_family="b", from_family="c")
         for i in range(3):
             for j, k in itertools.combinations(range(3), 2):
                 assert interference_gap(kernel, i, (j, k)) >= -1e-12
@@ -265,9 +268,6 @@ def test_compose_checks_labels_and_amplitudes():
     k3 = kernel_from_families(c, a)
     with pytest.raises(FamilyMismatch):
         compose(k1, k3)
-    bare = TransitionKernel(k1.p, to_family="a", from_family="b")
-    with pytest.raises(MissingUnitary):
-        compose(bare, kernel_from_families(b, c))
 
 
 def test_families_whose_kernel_fails_its_check_raise_a_named_error():
@@ -293,30 +293,36 @@ def test_composing_kernels_whose_product_fails_its_check_raises_a_named_error():
 
 
 def test_kernel_keeps_the_check_its_constructor_made():
-    """``check`` is p's StochasticReport field for field, and is never passed in."""
-    p = np.array([[0.5 + 4e-10, 0.5], [0.5, 0.5 - 3e-10]])
+    """``check`` is p's StochasticReport field for field; p and ``check`` are
+    never passed in."""
+    u = CompleteFamily.hadamard().basis * np.sqrt(1 + 4e-10)
     rng = np.random.default_rng(5)
     built = kernel_from_families(CompleteFamily(haar_unitary(4, rng), "b"),
                                  CompleteFamily(haar_unitary(4, rng), "c"))
-    for kernel in (TransitionKernel(p, "b", "c"), built):
+    for kernel in (TransitionKernel(u, "b", "c"), built):
         assert dataclasses.astuple(kernel.check) == dataclasses.astuple(
             verify_double_stochastic(kernel.p))
-    assert TransitionKernel(p, "b", "c").check.row_sum_violation > 0
+    assert TransitionKernel(u, "b", "c").check.row_sum_violation > 0
     with pytest.raises(TypeError):
-        TransitionKernel(p, "b", "c", check=built.check)
+        TransitionKernel(u, "b", "c", check=built.check)
+    with pytest.raises(TypeError):
+        TransitionKernel(u, "b", "c", p=built.p)
 
 
 def test_transition_kernel_validation():
+    """Square, then p = |U|^2 doubly stochastic, then U unitary."""
+    with pytest.raises(ValueError, match="square"):
+        TransitionKernel(np.ones((2, 3)), "b", "c")
     with pytest.raises(ValueError, match="stochastic"):
-        TransitionKernel(np.array([[0.9, 0.2], [0.1, 0.8]]), "b", "c")
-    with pytest.raises(ValueError, match="reproduce"):
-        TransitionKernel(np.eye(2), "b", "c",
-                         U=np.array([[0, 1], [1, 0]], dtype=complex))
+        TransitionKernel(np.sqrt([[0.9, 0.2], [0.1, 0.8]]), "b", "c")
+    with pytest.raises(ValueError, match="not unitary"):
+        TransitionKernel(np.array([[1, 1], [1, 1]]) / np.sqrt(2), "b", "c")
 
 
 def test_transition_kernel_refuses_a_nan_unitary_entry():
-    with pytest.raises(ValueError, match="not unitary"):
-        TransitionKernel(np.eye(2), "a", "b", U=[[np.nan, 0], [0, 1]])
+    """A NaN in U is a NaN in p, which fails the first check on p."""
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        TransitionKernel([[np.nan, 0], [0, 1]], "a", "b")
 
 
 def test_unistochastic_search_symmetric_2x2():

@@ -46,10 +46,25 @@ def correlated_state(coeffs, setup, tag="P"):
 
 
 def test_setup_validation():
+    """The ready pointer is a read-only complex unit vector, relative to no
+    observer, with a mark per system basis vector."""
     with pytest.raises(ValueError, match="pointer dim 2 smaller than system dim 3"):
-        MeasurementSetup(CompleteFamily.computational(3), basis_state(2, 0, "O"))
+        MeasurementSetup(CompleteFamily.computational(3), np.array([1, 0]))
     with pytest.raises(ValueError, match="pointer dim"):
         standard_setup(3, 2)
+    for ready in ([1, 1], [0, 0], [np.inf, 0], [[1, 0]]):
+        with pytest.raises(ValueError):
+            MeasurementSetup(CompleteFamily.computational(2), np.array(ready))
+    ready = standard_setup(2, 3).pointer_ready
+    assert ready.tolist() == [1, 0, 0]
+    assert ready.dtype == complex and not ready.flags.writeable
+
+
+def test_standard_setup_refuses_a_basis_of_another_dim():
+    """system_dim 3 with a dim-2 basis is refused, not read as a dim-2 setup."""
+    with pytest.raises(DimensionMismatch, match="system_basis has dim 2 but system_dim is 3"):
+        standard_setup(3, 4, CompleteFamily.computational(2))
+    assert standard_setup(2, 4, CompleteFamily.hadamard()).system_dim == 2
 
 
 def test_collapse_forced_outcome_yields_eigenvector():
@@ -110,7 +125,7 @@ def test_premeasurement_unitary_defining_columns():
     assert u.is_unitary
     # |i> x |ready| -> |i> x |mark_i|: columns 0 and 2 of a CNOT-like map
     for i in range(2):
-        domain = np.kron(np.eye(2)[:, i], setup.pointer_ready.amplitudes)
+        domain = np.kron(np.eye(2)[:, i], setup.pointer_ready)
         image = np.kron(np.eye(2)[:, i], np.eye(2)[i])
         np.testing.assert_allclose(u.matrix @ domain, image, atol=1e-12)
 
@@ -126,7 +141,7 @@ def test_premeasurement_is_isometry_on_ready_subspace():
         assert u.is_unitary
         for i in range(d_s):
             domain = np.kron(setup.system_basis.column(i),
-                             setup.pointer_ready.amplitudes)
+                             setup.pointer_ready)
             image = np.kron(setup.system_basis.column(i), np.eye(d_o)[i])
             np.testing.assert_allclose(u.matrix @ domain, image, atol=1e-9)
 
@@ -140,7 +155,8 @@ def test_entangling_equals_premeasurement_on_random_states():
                           (setup.system_dim,), "P")
         via_map = entangling_description(setup, psi)
         via_unitary = apply(premeasurement_unitary(setup),
-                            tensor(psi, basis_state(setup.pointer_dim, 0, "P")))
+                            tensor(psi, StateVector(setup.pointer_ready, (setup.pointer_dim,),
+                                                    psi.relative_to)))
         np.testing.assert_allclose(via_map.amplitudes, via_unitary.amplitudes,
                                    atol=1e-9)
 
@@ -149,21 +165,21 @@ def test_premeasurement_is_shared_between_equal_setups():
     """Setups whose basis and ready state have equal bytes get one read-only
     operator, bit-equal to an unmemoised build; any other setup gets another."""
     fourier = CompleteFamily.fourier(3)
-    first = premeasurement_unitary(MeasurementSetup(fourier, basis_state(4, 0, "P")))
+    ready, marked = np.eye(4, dtype=complex)[:2]
+    first = premeasurement_unitary(MeasurementSetup(fourier, ready))
     again = premeasurement_unitary(MeasurementSetup(
-        CompleteFamily(fourier.basis.copy(), "copy"), StateVector(np.eye(4)[0], (4,), "Q")))
+        CompleteFamily(fourier.basis.copy(), "copy"), np.eye(4)[0]))
     assert again is first
     assert not first.matrix.flags.writeable
     with pytest.raises(ValueError):
         first.matrix[0, 0] = 0
-    unmemoised = _premeasurement.__wrapped__(fourier.basis.tobytes(),
-                                             basis_state(4, 0, "P").amplitudes.tobytes())
+    unmemoised = _premeasurement.__wrapped__(fourier.basis.tobytes(), ready.tobytes())
     assert unmemoised is not first
     assert np.array_equal(unmemoised.matrix, first.matrix)
     assert unmemoised.dim_factors == first.dim_factors == (3, 4)
     other_family = premeasurement_unitary(MeasurementSetup(
-        CompleteFamily.computational(3), basis_state(4, 0, "P")))
-    other_ready = premeasurement_unitary(MeasurementSetup(fourier, basis_state(4, 1, "P")))
+        CompleteFamily.computational(3), ready))
+    other_ready = premeasurement_unitary(MeasurementSetup(fourier, marked))
     assert other_family is not first and other_ready is not first
     assert not np.array_equal(other_family.matrix, first.matrix)
     assert not np.array_equal(other_ready.matrix, first.matrix)

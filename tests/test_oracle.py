@@ -14,8 +14,7 @@ from oracle import run_oracle
 from relaqm.errors import DescriptionUnavailable
 from relaqm.hilbert import Operator, haar_unitary
 from relaqm.parsing import parse_families, resolve_family
-from relaqm.scenario import (EvolveEvent, MeasureEvent, QueryEvent, Scenario, SystemDecl,
-                             run)
+from relaqm.scenario import EvolveEvent, MeasureEvent, QueryEvent, Scenario, run
 
 KINDS = ("measure", "measure", "evolve", "state", "marginal", "completion", "kernel",
          "interference")
@@ -80,7 +79,7 @@ def scenarios(draw):
                     events.append(QueryEvent("completion", {
                         "system": s, "pointer": p, "family": family(dim[s]),
                         "relative_to": r}))
-    return Scenario(name="oracle", systems=tuple(SystemDecl(x, dim[x]) for x in names),
+    return Scenario(name="oracle", dims={x: dim[x] for x in names},
                     observers=tuple(observers), preparations=preparations,
                     events=tuple(events), seed=draw(st.integers(0, 2**16)))
 
@@ -116,7 +115,7 @@ def test_run_agrees_with_the_dense_oracle(sc):
     if asked_broken is not None:
         with pytest.raises(DescriptionUnavailable, match=f"^event {asked_broken}:"):
             run(sc)
-        sc = Scenario(sc.name, sc.systems, sc.observers, sc.preparations,
+        sc = Scenario(sc.name, sc.dims, sc.observers, sc.preparations,
                       sc.events[:asked_broken], sc.seed)
     report = run(sc)
     assert report.violations == []

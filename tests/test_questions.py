@@ -51,9 +51,6 @@ def test_question_refuses_a_nan_basis():
     for amps in ([np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]):
         with pytest.raises(ValueError, match="ray question"):
             Question.ray(amps)
-    for amps in ([np.nan, 0.0], [np.inf, 0.0]):
-        with pytest.raises(ValueError, match="non-finite"):
-            Question.from_span(np.array(amps))
 
 
 def test_complete_family_refuses_a_nan_entry():
@@ -65,7 +62,7 @@ def test_implies_basics():
     q0 = Question.never(2)
     assert implies(q0, ray(1, 0))
     assert implies(q0, q0)
-    assert implies(ray(1, 0), Question.from_span(np.eye(2)))
+    assert implies(ray(1, 0), Question.always(2))
     assert not implies(ray(INV_SQRT2, INV_SQRT2), ray(1, 0))
 
 
@@ -407,11 +404,8 @@ def test_asking_all_atoms_gives_exactly_one_yes():
 
 
 def test_answer_string_validation():
-    fam = CompleteFamily.computational(2)
     with pytest.raises(ValueError, match="bits"):
-        AnswerString((0, 2), fam)
-    with pytest.raises(ValueError, match="exceed"):
-        AnswerString((0, 1, 0), fam)
+        AnswerString((0, 2))
     # checked as given, before int() could read 0.5 as 0, 1.9 as 1 or "1" as 1
     for bits in [(0.5, 1.9), ("1", 0), (0, 1.5)]:
         with pytest.raises(ValueError, match="bits"):
@@ -419,22 +413,15 @@ def test_answer_string_validation():
     assert AnswerString((True, 0.0)).bits == (1, 0)
 
 
-@pytest.mark.parametrize("method", ["atom", "column", "answer_pattern"])
-@pytest.mark.parametrize("index", [-1, 5, 7, 9, 100])
+@pytest.mark.parametrize("method", ["atom", "column"])
+@pytest.mark.parametrize("index", [-1, 5, 7, 9, 100, 1.5])
 def test_a_family_refuses_an_atom_index_outside_its_dimension(method, index):
-    """Not the rank-0 question, another atom's bits, the last column or
-    numpy's IndexError: an index outside [0, 5) names itself and the range."""
+    """Not the rank-0 question, the last column, a TypeError or numpy's
+    IndexError: an index outside [0, 5), or one that is no integer, names
+    itself and the range."""
     fam = CompleteFamily.computational(5)
     with pytest.raises(IndexOutOfRange, match=rf"atom index {index} outside \[0, 5\)"):
         getattr(fam, method)(index)
-
-
-def test_answer_patterns_encode_atom_indices():
-    fam = CompleteFamily.computational(5)
-    # capacity is 3 bits; codes 101, 110, 111 are unreachable (only 5 atoms)
-    assert fam.answer_pattern(0).bits == (0, 0, 0)
-    assert fam.answer_pattern(4).bits == (1, 0, 0)
-    assert info_capacity(5) == 3
 
 
 def test_complete_ask_determines_the_family_algebra():

@@ -29,7 +29,6 @@ from relaqm.scenario import (
     QueryEvent,
     Report,
     Scenario,
-    SystemDecl,
     emit_report,
     fixture_path,
     lint_report,
@@ -62,7 +61,7 @@ events:
 
 def test_parse_wigner_fixture():
     sc = parse_scenario(WIGNER)
-    assert len(sc.systems) == 3
+    assert len(sc.dims) == 3
     assert sc.observers == ("O", "P")
     assert len(sc.events) == 5
     assert isinstance(sc.events[0], MeasureEvent)
@@ -753,7 +752,7 @@ def _run_against_the_oracle(sc):
 
 
 def _scenario(dims: dict, observers, preparations: dict, events, seed=0) -> Scenario:
-    return Scenario(name="shortcuts", systems=tuple(SystemDecl(n, d) for n, d in dims.items()),
+    return Scenario(name="shortcuts", dims=dict(dims),
                     observers=tuple(observers), preparations=preparations,
                     events=tuple(events), seed=seed)
 
