@@ -424,6 +424,25 @@ def test_a_family_refuses_an_atom_index_outside_its_dimension(method, index):
         getattr(fam, method)(index)
 
 
+def test_answer_patterns_encode_atom_indices():
+    """info_capacity(5) = 3 bit questions, most significant first, each the
+    join of the atoms whose index has that bit set, answer an atom's index."""
+    fam = CompleteFamily.computational(5)
+    width = info_capacity(5)
+    assert width == 3
+    algebra = boolean_algebra(fam)
+    bit_questions = [
+        algebra[sum(1 << i for i in range(fam.dim) if (i >> k) & 1)]
+        for k in reversed(range(width))]
+    for i in range(fam.dim):
+        answer, _ = ask_sequence(basis_state(5, i, "O"), bit_questions, seed=i)
+        assert answer.bits == tuple((i >> k) & 1 for k in reversed(range(width)))
+    assert ask_sequence(basis_state(5, 0, "O"), bit_questions, 0)[0].bits == (0, 0, 0)
+    assert ask_sequence(basis_state(5, 4, "O"), bit_questions, 0)[0].bits == (1, 0, 0)
+    # codes 101, 110, 111 are unreachable: the bit-2 question is atom 4 alone
+    assert same_question(bit_questions[0], fam.atom(4))
+
+
 def test_complete_ask_determines_the_family_algebra():
     """After all atoms are asked, the family's algebra holds no surprises."""
     rng = np.random.default_rng(44)
