@@ -45,8 +45,7 @@ _EXPORTS = {
     "questions": (
         "AnswerString", "CompleteFamily", "Question", "ask_sequence",
         "boolean_algebra", "complete_questions", "implies", "info_capacity",
-        "join", "meet", "negate", "orthogonal", "orthomodular_check",
-        "same_question",
+        "join", "meet", "negate", "orthomodular_check", "same_question",
     ),
     "kernels": (
         "TransitionKernel", "UnistochasticDecision", "classical_composite_probability",

@@ -77,9 +77,23 @@ def _as_complex_vector(values) -> np.ndarray:
 def _as_complex_matrix(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
+        raise ValueError(f"matrix must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _dim_factors(dim_factors, dim: int) -> tuple[int, ...]:
+    """``dim_factors`` read as ints, which must multiply to ``dim``."""
+    factors = tuple(int(d) for d in dim_factors)
+    if math.prod(factors) != dim:
+        raise ValueError(f"dim_factors {factors} do not multiply to {dim}")
+    return factors
+
+
+def _safe_norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of ``vec``, inf where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(vec))
 
 
 def _refuse_too_large(amplitudes: int, what: str) -> None:
@@ -117,11 +131,7 @@ class StateVector:
 
     def __post_init__(self, require_normalized: bool):
         object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
-        object.__setattr__(self, "dim_factors", tuple(int(d) for d in self.dim_factors))
-        if math.prod(self.dim_factors) != self.amplitudes.size:
-            raise ValueError(
-                f"dim_factors {self.dim_factors} do not multiply to {self.amplitudes.size}"
-            )
+        object.__setattr__(self, "dim_factors", _dim_factors(self.dim_factors, self.dim))
         if require_normalized and not abs(self.norm - 1.0) <= ATOL:
             raise ValueError(f"state norm {self.norm!r} differs from 1 by more than {ATOL}")
 
@@ -131,8 +141,7 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
-            return float(np.linalg.norm(self.amplitudes))
+        return _safe_norm(self.amplitudes)
 
     def __repr__(self):
         return (f"StateVector(dim={self.dim}, factors={self.dim_factors}, "
@@ -148,11 +157,7 @@ class Operator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix))
-        object.__setattr__(self, "dim_factors", tuple(int(d) for d in self.dim_factors))
-        if math.prod(self.dim_factors) != self.matrix.shape[0]:
-            raise ValueError(
-                f"dim_factors {self.dim_factors} do not multiply to {self.matrix.shape[0]}"
-            )
+        object.__setattr__(self, "dim_factors", _dim_factors(self.dim_factors, self.dim))
 
     @property
     def dim(self) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     NotDoublyStochastic,
     PreconditionViolated,
 )
-from .hilbert import ATOL, OPT_ATOL, orthonormality_defect
+from .hilbert import ATOL, OPT_ATOL, _as_complex_matrix, orthonormality_defect
 
 if TYPE_CHECKING:
     from .questions import CompleteFamily
@@ -72,16 +72,13 @@ class TransitionKernel:
     check: StochasticReport = field(init=False)
 
     def __post_init__(self):
-        u = np.array(self.U, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {u.shape}")
+        u = _as_complex_matrix(self.U)
         p = np.abs(u) ** 2
         check = verify_double_stochastic(p)
         if not check.ok(ATOL):
             raise ValueError(f"kernel is not doubly stochastic: {check}")
         if not orthonormality_defect(u) <= ATOL:
             raise ValueError("kernel unitary is not unitary")
-        u.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "p", p)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hilbert import (ATOL, Operator, StateVector, _apply_on_factors, _as_complex_vector,
-                      _norm, sample_index)
+                      _norm, _safe_norm, sample_index)
 from .questions import CompleteFamily
 
 __all__ = [
@@ -55,8 +55,7 @@ class MeasurementSetup:
 
     def __post_init__(self):
         ready = _as_complex_vector(self.pointer_ready)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
-            norm = float(np.linalg.norm(ready))
+        norm = _safe_norm(ready)
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"pointer ready norm {norm!r} differs from 1 by more than {ATOL}")
         object.__setattr__(self, "pointer_ready", ready)
@@ -93,6 +92,13 @@ def standard_setup(system_dim: int, pointer_dim: int | None = None,
     ready = np.zeros(pointer_dim, dtype=complex)
     ready[0] = 1.0
     return MeasurementSetup(basis, ready)
+
+
+def _require_dim(state: StateVector, dim: int) -> None:
+    """The precondition of each description below: ``state`` has the ``dim``
+    of the measured system, or of the system-pointer pair."""
+    if state.dim != dim:
+        raise DimensionMismatch(f"state dim {state.dim}, setup needs {dim}")
 
 
 def _born_weights(amps: np.ndarray, dims: tuple[int, ...], pos: int,
@@ -135,9 +141,7 @@ def collapse_description(setup: MeasurementSetup, psi: StateVector,
     where the value is the 1-based basis index and the post state is the
     corresponding eigenvector, tagged like the input.
     """
-    if psi.dim != setup.system_dim:
-        raise DimensionMismatch(
-            f"state dim {psi.dim} but the measured system has dim {setup.system_dim}")
+    _require_dim(psi, setup.system_dim)
     probs, _ = _born_weights(psi.amplitudes, (psi.dim,), 0, setup.system_basis.basis)
     i = sample_index(probs, np.random.default_rng(outcome_seed))
     post = StateVector(setup.system_basis.column(i), psi.dim_factors, psi.relative_to)
@@ -150,9 +154,7 @@ def entangling_description(setup: MeasurementSetup, psi: StateVector) -> StateVe
     Deterministic, and equal to the premeasurement unitary applied to
     psi ⊗ ready.
     """
-    if psi.dim != setup.system_dim:
-        raise DimensionMismatch(
-            f"state dim {psi.dim} but the measured system has dim {setup.system_dim}")
+    _require_dim(psi, setup.system_dim)
     _, coeffs = _born_weights(psi.amplitudes, (psi.dim,), 0, setup.system_basis.basis)
     out = np.zeros((setup.system_dim, setup.pointer_dim), dtype=complex)
     out[:, :setup.system_dim] = setup.system_basis.basis * coeffs
@@ -248,9 +250,7 @@ def completion_probability(state: StateVector, setup: MeasurementSetup) -> float
     correlation means a smaller-than-1 chance the measurement is complete,
     never half a measurement.
     """
-    if state.dim != setup.total_dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim}, setup needs {setup.total_dim}")
+    _require_dim(state, setup.total_dim)
     _, tensor = _born_weights(state.amplitudes, (setup.system_dim, setup.pointer_dim), 0,
                               setup.system_basis.basis)
     return _completion(tensor, 0, 1)
@@ -265,9 +265,7 @@ def consistency_check(state: StateVector, setup: MeasurementSetup,
     state the two outcomes agree for every seed.  Returns the verdict and a
     transcript of both draws.
     """
-    if state.dim != setup.total_dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim}, setup needs {setup.total_dim}")
+    _require_dim(state, setup.total_dim)
     rng = np.random.default_rng(seed)
     dims = (setup.system_dim, setup.pointer_dim)
     basis = setup.system_basis.basis

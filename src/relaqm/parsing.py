@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .hilbert import _refuse_too_large
+from .hilbert import _as_complex_vector, _refuse_too_large
 from .questions import CompleteFamily
 
 __all__ = ["read_text", "parse_yaml", "parse_families", "resolve_family"]
@@ -49,7 +49,7 @@ def parse_yaml(text: str):
     pure-Python loader can compose), is a :class:`ParseError` of one line; a
     syntax error names its problem and the problem's 1-based line and column.
     """
-    import yaml  # deferred: `unistochastic` and `lattice-check` read no YAML
+    import yaml  # deferred: importing the runner loads no YAML until a document is parsed
 
     try:
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
@@ -173,10 +173,10 @@ def _complex_value(raw, where: str) -> complex:
 
 def _complex_vector(raw, where: str) -> np.ndarray:
     """A non-empty list of amplitudes, each a number or an ``[re, im]`` pair,
-    read element by element by :func:`_complex_value`."""
+    read element by element by :func:`_complex_value`, as a read-only vector."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ParseError(f"{where}: expected a non-empty list of amplitudes")
-    return np.array([_complex_value(x, where) for x in raw], dtype=complex)
+    return _as_complex_vector([_complex_value(x, where) for x in raw])
 
 
 def _square_matrix(raw, where: str) -> np.ndarray:

@@ -36,8 +36,8 @@ from .errors import (
     TooLarge,
     ZeroBranch,
 )
-from .hilbert import (ATOL, RANK_TOL, StateVector, haar_unitary, orthonormality_defect,
-                      sample_index)
+from .hilbert import (ATOL, RANK_TOL, StateVector, _as_complex_matrix, haar_unitary,
+                      orthonormality_defect, sample_index)
 
 __all__ = [
     "Question",
@@ -47,7 +47,6 @@ __all__ = [
     "join",
     "meet",
     "negate",
-    "orthogonal",
     "same_question",
     "orthomodular_check",
     "info_capacity",
@@ -190,11 +189,6 @@ def meet(q1: Question, q2: Question) -> Question:
     return _computed(q1.basis @ vh.conj().T[:, s <= RANK_TOL])
 
 
-def orthogonal(q1: Question, q2: Question) -> bool:
-    """q1 and q2 are orthogonal iff q1 implies the negation of q2."""
-    return implies(q1, negate(q2))
-
-
 def same_question(q1: Question, q2: Question) -> bool:
     """Subspace equality: equal ranks and one inclusion, which for equal ranks
     implies the other."""
@@ -229,12 +223,9 @@ class CompleteFamily:
     label: str
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"family basis must be square, got shape {b.shape}")
+        b = _as_complex_matrix(self.basis)
         if not orthonormality_defect(b) <= ATOL:
             raise ValueError(f"family {self.label!r}: basis is not unitary")
-        b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
     @property

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .dynamics import propagator
 from .hilbert import (ATOL, PAULI_X, PAULI_Y, PAULI_Z, Operator, _apply_on_factors,
-                      _norm, _refuse_too_large, sample_index)
+                      _norm, _refuse_too_large, _safe_norm, sample_index)
 from .kernels import (
     TransitionKernel,
     classical_composite_probability,
@@ -351,16 +351,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 "DimensionMismatch",
                 f"preparations.{sname}: {vec.size} amplitudes for a dim-{sdim} system")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
-            norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > ATOL:
+        norm = _safe_norm(vec)
+        if not abs(norm - 1.0) <= ATOL:
             raise NormalizationError(
                 f"preparations.{sname}: norm is {norm!r}, amplitudes must be "
                 "normalized to 1")
         preparations[sname] = vec
-    for extra in set(raw_preps) - set(dims):
-        raise ValidationError("UnknownSystem",
-                              f"preparations name undeclared system {extra!r}")
+    for extra in raw_preps:  # in document order, so the error names the first
+        if extra not in dims:
+            raise ValidationError("UnknownSystem",
+                                  f"preparations name undeclared system {extra!r}")
 
     scenario_fields = (observers, families, dims)
     raw_events = _optional(doc, "events", [])

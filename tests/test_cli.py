@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, seeds, determinism."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -324,6 +325,20 @@ def test_subprocess_exit_codes():
     assert invoke("run", WIGNER).returncode == 0
     assert invoke("run", SELF).returncode == 2
     assert invoke("unistochastic", OFFDIAG).returncode == 3
+
+
+def test_an_undeclared_preparation_is_named_in_document_order(tmp_path):
+    """Whatever the string hash seed, the error names the first undeclared
+    system the preparations list."""
+    doc = tmp_path / "extra.yaml"
+    doc.write_text("systems: [{name: S, dim: 2}, {name: O, dim: 2}]\nobservers: [O]\n"
+                   "preparations: {S: [1.0, 0.0], O: [1.0, 0.0], A: [1.0], B: [1.0]}\n")
+    for hash_seed in ("0", "3"):
+        result = subprocess.run([sys.executable, "-m", "relaqm", "run", str(doc)],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: UnknownSystem: preparations name undeclared system 'A'\n")
 
 
 def _scenario(dim_s=2, prep_s="[[1.0, 0.0], [0.0, 0.0]]", extra="", events="[]"):

@@ -1,9 +1,13 @@
 """The package namespace: every public name, resolved from its module on use."""
 
+import ast
 import inspect
+import io
 import json
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import relaqm
 
@@ -29,7 +33,7 @@ EXPORTS = {
     "questions": [
         "AnswerString", "CompleteFamily", "Question", "ask_sequence",
         "boolean_algebra", "complete_questions", "implies", "info_capacity", "join",
-        "meet", "negate", "orthogonal", "orthomodular_check", "same_question",
+        "meet", "negate", "orthomodular_check", "same_question",
     ],
     "kernels": [
         "TransitionKernel", "UnistochasticDecision", "classical_composite_probability", "compose", "composite_probability",
@@ -45,7 +49,11 @@ EXPORTS = {
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 # Settable public parameters over ``relaqm.__all__``; a new one is an edit here.
-SETTABLE_PARAMETERS = 123
+SETTABLE_PARAMETERS = 121
+# Code lines of ``src/relaqm``, counted by ``code_lines``; a change in size is
+# an edit here.
+CODE_LINES = 2047
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "relaqm"
 
 
 def fresh(code: str):
@@ -134,3 +142,32 @@ def test_the_public_parameters_are_counted():
     non-test callers that set it differently, so a new one shows here."""
     assert sum(settable_parameters(getattr(relaqm, name))
                for name in relaqm.__all__) == SETTABLE_PARAMETERS
+
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token, not counting blank lines,
+    comments and the docstrings of the module, its classes and functions."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_the_code_lines_are_counted():
+    """The package's size, so that a change that grows or shrinks it says by
+    how much."""
+    assert sum(code_lines(path.read_text(encoding="utf-8"))
+               for path in SOURCES.glob("*.py")) == CODE_LINES
+

@@ -25,7 +25,6 @@ from relaqm.questions import (
     join,
     meet,
     negate,
-    orthogonal,
     orthomodular_check,
     random_question,
     same_question,
@@ -213,8 +212,8 @@ def test_lattice_operations_agree_with_projector_arithmetic(pair):
 
 
 def test_orthogonality():
-    assert orthogonal(ray(1, 0), ray(0, 1))
-    assert not orthogonal(ray(1, 0), ray(INV_SQRT2, INV_SQRT2))
+    assert implies(ray(1, 0), negate(ray(0, 1)))
+    assert not implies(ray(1, 0), negate(ray(INV_SQRT2, INV_SQRT2)))
 
 
 def test_complement_laws_on_random_subspaces():
@@ -308,7 +307,7 @@ def test_complete_questions_are_exclusive_and_exhaustive():
     atoms = complete_questions(fam)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert orthogonal(atoms[i], atoms[j])
+            assert implies(atoms[i], negate(atoms[j]))
     total = atoms[0]
     for a in atoms[1:]:
         total = join(total, a)

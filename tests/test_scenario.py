@@ -69,6 +69,13 @@ def test_parse_wigner_fixture():
     assert sc.seed == 7
 
 
+def test_parsed_preparations_are_read_only():
+    """A preparation cannot change after the Normalization rule checked it."""
+    sc = parse_scenario(WIGNER)
+    with pytest.raises(ValueError):
+        sc.preparations["S"][:] = [1, 1]
+
+
 def test_self_measurement_rejected():
     text = fixture_path("self_measurement.yaml").read_text()
     with pytest.raises(ValidationError) as err:
